@@ -22,6 +22,8 @@ JitPassManager build_jit_pass_manager() {
                    [](MFunction& fn, JitPipelineContext&, Statistics& stats) {
                      const PeepholeStats peep = peephole_cleanup(fn);
                      stats.add("jit.moves_removed", peep.moves_removed);
+                     stats.add("jit.peephole_work_units",
+                               static_cast<int64_t>(peep.work_units));
                    });
 
   pm.register_pass("fma", "fused multiply-add formation (has_fma targets)",

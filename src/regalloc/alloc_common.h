@@ -3,7 +3,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
+#include <vector>
 
 #include "regalloc/linear_scan.h"
 #include "targets/machine.h"
@@ -17,11 +18,15 @@ struct Assignment {
   uint32_t slot = 0;  // valid when spilled
 };
 
+/// Indexed by vreg_key, sized vreg_key_bound(fn); empty for a vreg that
+/// has no interval.
+using AssignmentTable = std::vector<std::optional<Assignment>>;
+
 /// Rewrites `fn` in place: maps vregs to physical registers, inserts
 /// scratch-register reload/store code around spilled operands, and turns
 /// spilled parameters / call arguments into slot-flagged registers.
 void rewrite_spills(MFunction& fn, const MachineDesc& desc,
-                    const std::map<uint32_t, Assignment>& assign,
+                    const AssignmentTable& assign,
                     AllocResult& result);
 
 }  // namespace regalloc_detail

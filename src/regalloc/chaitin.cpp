@@ -11,6 +11,7 @@
 namespace svc {
 
 using regalloc_detail::Assignment;
+using regalloc_detail::AssignmentTable;
 using regalloc_detail::rewrite_spills;
 
 AllocResult chaitin_allocate(MFunction& fn, const MachineDesc& desc) {
@@ -85,17 +86,15 @@ AllocResult chaitin_allocate(MFunction& fn, const MachineDesc& desc) {
   }
 
   // Optimistic coloring.
-  std::map<uint32_t, Assignment> assign;
+  AssignmentTable assign(live.num_keys());
   uint32_t next_slot[kNumRegClasses] = {0, 0, 0};
   for (size_t i = stack.size(); i-- > 0;) {
     const uint32_t key = stack[i];
     const uint32_t k = k_for(key);
     std::vector<bool> taken(k, false);
     for (uint32_t n : graph.neighbors(key)) {
-      const auto it = assign.find(n);
-      if (it != assign.end() && !it->second.spilled) {
-        if (it->second.preg < k) taken[it->second.preg] = true;
-      }
+      const auto& a = assign[n];
+      if (a && !a->spilled && a->preg < k) taken[a->preg] = true;
     }
     std::optional<uint32_t> color;
     for (uint32_t c = 0; c < k; ++c) {
@@ -105,10 +104,10 @@ AllocResult chaitin_allocate(MFunction& fn, const MachineDesc& desc) {
       }
     }
     if (color) {
-      assign[key] = {false, *color, 0};
+      assign[key] = Assignment{false, *color, 0};
     } else {
       const auto cls = static_cast<size_t>(key % kNumRegClasses);
-      assign[key] = {true, 0, next_slot[cls]++};
+      assign[key] = Assignment{true, 0, next_slot[cls]++};
       result.spilled_vregs += 1;
     }
   }

@@ -1,8 +1,6 @@
 #include "regalloc/linear_scan.h"
 
 #include <algorithm>
-#include <limits>
-#include <map>
 #include <vector>
 
 #include "regalloc/alloc_common.h"
@@ -23,6 +21,7 @@ const char* alloc_policy_name(AllocPolicy p) {
 }
 
 using regalloc_detail::Assignment;
+using regalloc_detail::AssignmentTable;
 using regalloc_detail::rewrite_spills;
 
 namespace {
@@ -31,12 +30,12 @@ namespace {
 /// the preference for evicting an interval when pressure is exceeded:
 /// the candidate (including the incoming interval itself) with the
 /// *highest* rank is spilled.
-AllocResult run_linear_scan(
-    MFunction& fn, const MachineDesc& desc,
-    const std::vector<LiveInterval>& intervals,
-    const std::function<double(const LiveInterval&, uint64_t seq)>& evict_rank) {
+template <typename EvictRank>
+AllocResult run_linear_scan(MFunction& fn, const MachineDesc& desc,
+                            const std::vector<LiveInterval>& intervals,
+                            const EvictRank& evict_rank) {
   AllocResult result;
-  std::map<uint32_t, Assignment> assign;  // vreg key -> assignment
+  AssignmentTable assign(vreg_key_bound(fn));
 
   // Per-class allocation state.
   struct ActiveEntry {
@@ -84,7 +83,7 @@ AllocResult run_linear_scan(
     if (free) {
       st.preg_used[*free] = true;
       st.active.push_back({iv, *free, seq});
-      assign[vreg_key(iv.vreg)] = {false, *free, 0};
+      assign[vreg_key(iv.vreg)] = Assignment{false, *free, 0};
     } else if (num_pregs == 0) {
       // Classes with no registers at all (e.g. Vec on scalar targets
       // before de-vectorization) should never reach allocation.
@@ -102,15 +101,16 @@ AllocResult run_linear_scan(
         }
       }
       if (victim < 0) {
-        assign[vreg_key(iv.vreg)] = {true, 0, st.next_slot++};
+        assign[vreg_key(iv.vreg)] = Assignment{true, 0, st.next_slot++};
         result.spilled_vregs += 1;
       } else {
         const ActiveEntry evicted = st.active[static_cast<size_t>(victim)];
         st.active.erase(st.active.begin() + victim);
-        assign[vreg_key(evicted.iv.vreg)] = {true, 0, st.next_slot++};
+        assign[vreg_key(evicted.iv.vreg)] =
+            Assignment{true, 0, st.next_slot++};
         result.spilled_vregs += 1;
         st.active.push_back({iv, evicted.preg, seq});
-        assign[vreg_key(iv.vreg)] = {false, evicted.preg, 0};
+        assign[vreg_key(iv.vreg)] = Assignment{false, evicted.preg, 0};
       }
     }
     ++seq;
@@ -129,11 +129,11 @@ AllocResult run_linear_scan(
 namespace regalloc_detail {
 
 void rewrite_spills(MFunction& fn, const MachineDesc& desc,
-                    const std::map<uint32_t, Assignment>& assign,
+                    const AssignmentTable& assign,
                     AllocResult& result) {
   auto lookup = [&](Reg r) -> const Assignment* {
-    const auto it = assign.find(vreg_key(r));
-    return it == assign.end() ? nullptr : &it->second;
+    const auto& a = assign[vreg_key(r)];
+    return a ? &*a : nullptr;
   };
 
   // Parameters and call-site argument registers: spilled ones become
@@ -209,6 +209,9 @@ void rewrite_spills(MFunction& fn, const MachineDesc& desc,
 AllocResult allocate_registers(MFunction& fn, const MachineDesc& desc,
                                AllocPolicy policy,
                                const SpillPriorityInfo* hints) {
+  // Every allocator indexes its tables by vreg_key below
+  // vreg_key_bound(fn), which covers virtual registers only.
+  if (fn.allocated) fatal("allocate_registers: " + fn.name + " is allocated");
   if (policy == AllocPolicy::OfflineChaitin) {
     return chaitin_allocate(fn, desc);
   }
@@ -247,24 +250,22 @@ AllocResult allocate_registers(MFunction& fn, const MachineDesc& desc,
     case AllocPolicy::SplitGuided: {
       // Offline eviction ranks over SVIL locals; temporaries are poor
       // eviction candidates (short-lived by construction), so they rank
-      // below every annotated local.
-      std::map<uint32_t, double> local_rank;  // local idx -> rank
+      // below every annotated local, and unranked locals rank 0.5.
+      std::vector<double> local_rank(fn.local_regs.size(), 0.5);
       if (hints) {
         for (size_t i = 0; i < hints->eviction_order.size(); ++i) {
           // First entry = best spill candidate = highest eviction rank.
-          local_rank[hints->eviction_order[i]] =
-              static_cast<double>(hints->eviction_order.size() - i);
+          const auto local = hints->eviction_order[i];
+          if (local < local_rank.size()) {
+            local_rank[local] =
+                static_cast<double>(hints->eviction_order.size() - i);
+          }
         }
       }
       return run_linear_scan(
           fn, desc, intervals,
           [&local_rank](const LiveInterval& iv, uint64_t) {
-            if (iv.is_local) {
-              const auto it = local_rank.find(iv.local_idx);
-              if (it != local_rank.end()) return it->second;
-              return 0.5;  // unranked local
-            }
-            return 0.0;  // temporaries: evict last
+            return iv.is_local ? local_rank[iv.local_idx] : 0.0;
           });
     }
     case AllocPolicy::OfflineChaitin:

@@ -1,7 +1,6 @@
 #include "regalloc/liveness.h"
 
 #include <algorithm>
-#include <map>
 
 namespace svc {
 
@@ -21,16 +20,6 @@ std::vector<uint32_t> successors(const MFunction& fn, uint32_t block) {
   }
 }
 
-void for_each_use(const MFunction& fn, const MInst& inst,
-                  const std::function<void(Reg)>& f) {
-  if (inst.s0.valid) f(inst.s0);
-  if (inst.s1.valid) f(inst.s1);
-  if (inst.s2.valid) f(inst.s2);
-  if (!is_machine_only(inst.op) && base_opcode(inst.op) == Opcode::Call) {
-    for (const Reg& r : fn.call_sites[static_cast<size_t>(inst.imm)]) f(r);
-  }
-}
-
 std::optional<Reg> def_of(const MInst& inst) {
   if (inst.dst.valid) return inst.dst;
   return std::nullopt;
@@ -41,25 +30,8 @@ Liveness::Liveness(size_t num_blocks, size_t num_keys)
       in_(num_blocks, BitRow((num_keys + 63) / 64, 0)),
       out_(num_blocks, BitRow((num_keys + 63) / 64, 0)) {}
 
-void Liveness::for_each_live_in(uint32_t block,
-                                const std::function<void(uint32_t)>& f) const {
-  for (uint32_t key = 0; key < num_keys_; ++key) {
-    if (test(in_[block], key)) f(key);
-  }
-}
-
-void Liveness::for_each_live_out(
-    uint32_t block, const std::function<void(uint32_t)>& f) const {
-  for (uint32_t key = 0; key < num_keys_; ++key) {
-    if (test(out_[block], key)) f(key);
-  }
-}
-
 Liveness compute_liveness(const MFunction& fn) {
-  const uint32_t max_v =
-      std::max({fn.num_vregs[0], fn.num_vregs[1], fn.num_vregs[2]});
-  const size_t num_keys =
-      static_cast<size_t>(max_v) * kNumRegClasses + kNumRegClasses;
+  const size_t num_keys = vreg_key_bound(fn);
   const size_t nb = fn.blocks.size();
   Liveness lv(nb, num_keys);
   const size_t words = (num_keys + 63) / 64;
@@ -125,10 +97,14 @@ Reg key_to_reg(uint32_t key) {
 std::vector<LiveInterval> build_intervals(const MFunction& fn,
                                           const LinearOrder& order,
                                           const Liveness* precise) {
-  std::map<uint32_t, LiveInterval> by_key;  // ordered for determinism
+  // Dense tables indexed by vreg key.
+  const size_t bound = vreg_key_bound(fn);
+  std::vector<LiveInterval> by_key(bound);
+  std::vector<uint8_t> seen(bound, 0);
 
   // Which vregs are SVIL locals (or de-vectorized lanes of locals)?
-  std::map<uint32_t, uint32_t> local_of;
+  constexpr uint32_t kNotLocal = ~uint32_t{0};
+  std::vector<uint32_t> local_of(bound, kNotLocal);
   for (uint32_t i = 0; i < fn.local_regs.size(); ++i) {
     for (const Reg& r : fn.local_regs[i]) {
       if (r.valid) local_of[vreg_key(r)] = i;
@@ -137,16 +113,15 @@ std::vector<LiveInterval> build_intervals(const MFunction& fn,
 
   auto extend = [&](Reg r, uint32_t pos, bool count_use) {
     const uint32_t key = vreg_key(r);
-    auto [it, inserted] = by_key.try_emplace(key);
-    LiveInterval& iv = it->second;
-    if (inserted) {
+    LiveInterval& iv = by_key[key];
+    if (!seen[key]) {
+      seen[key] = 1;
       iv.vreg = r;
       iv.start = pos;
       iv.end = pos;
-      const auto lit = local_of.find(key);
-      if (lit != local_of.end()) {
+      if (local_of[key] != kNotLocal) {
         iv.is_local = true;
-        iv.local_idx = lit->second;
+        iv.local_idx = local_of[key];
       }
     } else {
       iv.start = std::min(iv.start, pos);
@@ -181,19 +156,18 @@ std::vector<LiveInterval> build_intervals(const MFunction& fn,
     }
   }
 
-  if (!precise) {
-    // Naive mode: locals conservatively live for the whole function.
-    for (auto& [key, iv] : by_key) {
-      if (iv.is_local) {
-        iv.start = 0;
-        iv.end = order.total == 0 ? 0 : order.total - 1;
-      }
-    }
-  }
-
   std::vector<LiveInterval> out;
-  out.reserve(by_key.size());
-  for (auto& [key, iv] : by_key) out.push_back(iv);
+  for (size_t key = 0; key < by_key.size(); ++key) {
+    if (!seen[key]) continue;
+    LiveInterval& iv = by_key[key];
+    if (!precise && iv.is_local) {
+      // Naive mode: locals conservatively live for the whole function.
+      iv.start = 0;
+      iv.end = order.total == 0 ? 0 : order.total - 1;
+    }
+    out.push_back(iv);
+  }
+  // (start, key) is a total order, so the result is deterministic.
   std::sort(out.begin(), out.end(),
             [](const LiveInterval& a, const LiveInterval& b) {
               if (a.start != b.start) return a.start < b.start;

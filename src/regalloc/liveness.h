@@ -8,8 +8,9 @@
 //     time-budgeted JIT baseline does).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -23,8 +24,15 @@ namespace svc {
 
 /// Invokes `f` for every register read by `inst` (including call-site
 /// argument registers).
-void for_each_use(const MFunction& fn, const MInst& inst,
-                  const std::function<void(Reg)>& f);
+template <typename F>
+void for_each_use(const MFunction& fn, const MInst& inst, F&& f) {
+  if (inst.s0.valid) f(inst.s0);
+  if (inst.s1.valid) f(inst.s1);
+  if (inst.s2.valid) f(inst.s2);
+  if (!is_machine_only(inst.op) && base_opcode(inst.op) == Opcode::Call) {
+    for (const Reg& r : fn.call_sites[static_cast<size_t>(inst.imm)]) f(r);
+  }
+}
 
 /// The register written by `inst`, if any.
 [[nodiscard]] std::optional<Reg> def_of(const MInst& inst);
@@ -33,6 +41,15 @@ void for_each_use(const MFunction& fn, const MInst& inst,
 [[nodiscard]] inline uint32_t vreg_key(Reg r) {
   return r.idx * static_cast<uint32_t>(kNumRegClasses) +
          static_cast<uint32_t>(r.cls);
+}
+
+/// One past the largest vreg_key of the registers `fn.num_vregs` counts:
+/// the size of a table indexed by vreg_key. Until allocation every
+/// register of `fn` is one of those.
+[[nodiscard]] inline size_t vreg_key_bound(const MFunction& fn) {
+  const uint32_t max_v =
+      std::max({fn.num_vregs[0], fn.num_vregs[1], fn.num_vregs[2]});
+  return (static_cast<size_t>(max_v) + 1) * kNumRegClasses;
 }
 
 class Liveness {
@@ -47,10 +64,15 @@ class Liveness {
   }
   [[nodiscard]] size_t num_keys() const { return num_keys_; }
 
-  void for_each_live_in(uint32_t block,
-                        const std::function<void(uint32_t)>& f) const;
-  void for_each_live_out(uint32_t block,
-                         const std::function<void(uint32_t)>& f) const;
+  /// Invoke `f(key)` for each key live into / out of `block`, ascending.
+  template <typename F>
+  void for_each_live_in(uint32_t block, F&& f) const {
+    for_each_set(in_[block], f);
+  }
+  template <typename F>
+  void for_each_live_out(uint32_t block, F&& f) const {
+    for_each_set(out_[block], f);
+  }
 
  private:
   friend Liveness compute_liveness(const MFunction& fn);
@@ -60,6 +82,14 @@ class Liveness {
   }
   static void set(BitRow& row, uint32_t key) {
     row[key >> 6] |= uint64_t{1} << (key & 63);
+  }
+  template <typename F>
+  static void for_each_set(const BitRow& row, F& f) {
+    for (size_t w = 0; w < row.size(); ++w) {
+      for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        f(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
+    }
   }
   size_t num_keys_;
   std::vector<BitRow> in_, out_;

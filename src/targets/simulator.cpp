@@ -820,7 +820,7 @@ TrapKind SimFrame::run(std::span<const Value> args, Value& ret_out) {
           return TrapKind::ExplicitTrap;
         case Opcode::Call: {
           sim_.stats_.calls += 1;
-          if (++sim_.call_depth_ > Simulator::kMaxCallDepth) {
+          if (++sim_.call_depth_ > kMaxCallDepth) {
             return TrapKind::CallStackOverflow;
           }
           const MFunction& callee = sim_.functions_[inst.a];

@@ -77,8 +77,7 @@ class Simulator {
   // Shared across frames during one run:
   SimStats stats_;
   std::unordered_map<uint64_t, uint8_t> predictor_;
-  uint32_t call_depth_ = 0;
-  static constexpr uint32_t kMaxCallDepth = 128;
+  uint32_t call_depth_ = 0;  // limited by kMaxCallDepth (vm/interpreter.h)
 };
 
 }  // namespace svc

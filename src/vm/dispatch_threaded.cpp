@@ -1029,7 +1029,7 @@ L_Trap:
   TRAP(ExplicitTrap);
 L_Call: {
   sp -= ip->b;  // args: the top b stack slots, deepest-first
-  if (++I.call_depth_ > I.max_call_depth_) TRAP(CallStackOverflow);
+  if (++I.call_depth_ > kMaxCallDepth) TRAP(CallStackOverflow);
   I.steps_used_ = steps;
   const FrameRes res = exec<kProfile>(ip->a, sp, ip->b);
   steps = I.steps_used_;

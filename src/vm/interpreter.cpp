@@ -968,7 +968,7 @@ FrameExecutor::StepOutcome FrameExecutor::step(const Instruction& inst) {
       const Function& callee = module_.function(inst.a);
       std::vector<Value> args(callee.num_params());
       for (size_t i = callee.num_params(); i-- > 0;) args[i] = pop();
-      if (++interp_.call_depth_ > interp_.max_call_depth_) {
+      if (++interp_.call_depth_ > kMaxCallDepth) {
         return O::trapped(TrapKind::CallStackOverflow);
       }
       FrameExecutor child(interp_, callee, inst.a);

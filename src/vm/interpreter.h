@@ -40,6 +40,12 @@ enum class TrapKind : uint8_t {
   ExplicitTrap,
 };
 
+/// Deepest chain of nested guest calls before CallStackOverflow. The one
+/// limit for every engine -- the switch and threaded tier-0 engines and
+/// the cycle simulator -- so a program traps at the same depth whichever
+/// tier runs it.
+inline constexpr uint32_t kMaxCallDepth = 128;
+
 struct ExecResult {
   std::optional<Value> value;  // set on normal return (Void -> Value{})
   TrapKind trap = TrapKind::None;
@@ -64,7 +70,6 @@ class Interpreter {
 
   /// Maximum dynamic instructions before trapping (default 1<<30).
   void set_step_budget(uint64_t steps) { step_budget_ = steps; }
-  void set_max_call_depth(uint32_t depth) { max_call_depth_ = depth; }
 
   /// Attaches a profile collector (sized for this module's functions; may
   /// be nullptr to disable). Not owned; must outlive every run(). With no
@@ -118,7 +123,6 @@ class Interpreter {
   Memory& memory_;
   uint64_t step_budget_ = uint64_t{1} << 30;
   uint64_t steps_used_ = 0;
-  uint32_t max_call_depth_ = 256;
   uint32_t call_depth_ = 0;
   ProfileData* profile_ = nullptr;
   DispatchKind dispatch_ = DispatchKind::Threaded;

@@ -294,7 +294,7 @@ TEST(DispatchDiff, RecursionAndStackOverflow) {
   b.ret();
   Module m = single_fn_module(b.take());
   diff_all(m, 0, {Value::make_i32(10)});
-  // 1000 frames deep exceeds the default 256-deep call stack.
+  // 1000 frames deep exceeds the kMaxCallDepth (128) call stack.
   diff_all(m, 0, {Value::make_i32(1000)});
 }
 

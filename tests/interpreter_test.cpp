@@ -300,7 +300,6 @@ TEST(Interp, RecursionDepthLimit) {
   }
   Memory mem(1 << 12);
   Interpreter interp(m, mem);
-  interp.set_max_call_depth(32);
   auto r = interp.run("inf", {});
   EXPECT_EQ(r.trap, TrapKind::CallStackOverflow);
 }
