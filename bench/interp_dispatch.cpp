@@ -2,20 +2,21 @@
 // the pre-decoded computed-goto engine, with and without superinstruction
 // fusion, measured as steady-state interpreted steps per wall second.
 //
-// The workload is the Table 1 kernel suite run through OnlineTarget in
-// tiered mode with promotion disabled, so every call is served by tier 0
-// exactly as a cold deployment serves it (per-call Interpreter over the
-// target's persistent PredecodeCache). One row per simulated ISA: tier-0
-// execution is target-independent, so the rows double as a check that no
-// per-ISA state leaks into the interpreter -- the columns should agree
-// across rows to within noise.
+// The workload is the Table 1 kernel suite run the way a tiered
+// deployment serves a cold call (OnlineTarget::interpret): a fresh
+// Interpreter per call over one persistent PredecodeCache, so streams are
+// lowered once and every timed call is pure dispatch. Tier-0 execution is
+// target-independent, so no ISA is involved; instead the whole engine
+// sweep is repeated kTrials times, engines interleaved within a trial,
+// and the JSON reports the median trial per engine.
 //
 // Before timing, the first rounds of every engine are checked bit-for-bit
-// (result value, dynamic step count, simulated cycles) against the switch
-// engine; any divergence aborts, which makes this bench the perf smoke
-// test registered in ctest. Results land in BENCH_interp.json
-// (bench_report in bench_util.h) so the tier-0 perf trajectory is
-// recorded across PRs.
+// (result value and dynamic step count, which fixes the simulated cycles)
+// against the switch engine; any divergence aborts, which makes this
+// bench the perf smoke test registered in ctest. Results land in
+// BENCH_interp.json (bench_report in bench_util.h) so the tier-0 perf
+// trajectory is recorded across PRs.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,7 +33,8 @@ using namespace svc::bench;
 
 constexpr int kElems = 1024;     // elements per kernel invocation
 constexpr int kVerifyRounds = 2; // bit-checked rounds before timing
-constexpr double kMinWindowSec = 0.15;  // per (ISA, engine) timing window
+constexpr double kMinWindowSec = 0.15;  // per (trial, engine) window
+constexpr int kTrials = 3;       // repeated engine sweeps
 
 struct EngineSpec {
   const char* name;      // table / JSON label
@@ -44,17 +46,6 @@ constexpr EngineSpec kEngines[] = {
     {"switch", DispatchKind::Switch, false},
     {"threaded", DispatchKind::Threaded, false},
     {"threaded_fused", DispatchKind::Threaded, true},
-};
-
-struct IsaSpec {
-  const char* name;
-  TargetKind kind;
-};
-
-constexpr IsaSpec kIsas[] = {
-    {"x86sim", TargetKind::X86Sim},
-    {"ppcsim", TargetKind::PpcSim},
-    {"spusim", TargetKind::SpuSim},
 };
 
 Module build_suite() {
@@ -71,43 +62,32 @@ Module build_suite() {
 struct RoundResult {
   Value value;
   uint64_t steps = 0;
-  uint64_t cycles = 0;
 
   friend bool operator==(const RoundResult& a, const RoundResult& b) {
-    return a.value == b.value && a.steps == b.steps && a.cycles == b.cycles;
+    return a.value == b.value && a.steps == b.steps;
   }
 };
 
-/// Tier-0-only target config: tiered mode with promotion disabled means
-/// run() never leaves the interpreter, exercising the production tier-0
-/// path (per-call Interpreter over the target's persistent
-/// PredecodeCache).
-OnlineTarget::Config tier0_config(const EngineSpec& engine) {
-  OnlineTarget::Config config;
-  config.mode = LoadMode::Tiered;
-  config.promote_threshold = UINT32_MAX;
-  config.tier0_dispatch = engine.dispatch;
-  config.tier0_fusion = engine.fusion;
-  return config;
-}
-
-/// Runs every kernel once; returns per-kernel observations and the total
-/// dynamic step count.
-uint64_t run_round(OnlineTarget& target, Memory& mem,
+/// Runs every kernel once on tier 0; returns per-kernel observations and
+/// the total dynamic step count.
+uint64_t run_round(const Module& suite, const EngineSpec& engine,
+                   PredecodeCache& cache, Memory& mem,
                    std::span<const KernelInfo> kernels,
                    std::vector<RoundResult>* out) {
   uint64_t steps = 0;
   for (const KernelInfo& k : kernels) {
-    const SimResult r = target.run(k.fn_name, kernel_args(k, kElems), mem);
-    if (!r.ok() || !r.interpreted) {
-      std::fprintf(stderr, "interp_dispatch: %s %s on %s\n",
-                   std::string(k.name).c_str(),
-                   r.ok() ? "left tier 0" : "trapped",
-                   target.desc().name.c_str());
+    Interpreter interp(suite, mem);
+    interp.set_dispatch(engine.dispatch);
+    interp.set_fusion(engine.fusion);
+    interp.set_predecode_cache(&cache);
+    const ExecResult r = interp.run(k.fn_name, kernel_args(k, kElems));
+    if (!r.ok()) {
+      std::fprintf(stderr, "interp_dispatch: %s trapped on %s\n",
+                   std::string(k.name).c_str(), engine.name);
       std::abort();
     }
-    steps += r.stats.instructions;
-    if (out) out->push_back({r.value, r.stats.instructions, r.stats.cycles});
+    steps += r.steps;
+    if (out) out->push_back({r.value.value_or(Value{}), r.steps});
   }
   return steps;
 }
@@ -117,20 +97,18 @@ struct Measurement {
   double steps_per_sec = 0.0;
 };
 
-Measurement measure(TargetKind kind, const EngineSpec& engine,
-                    const Module& suite,
+Measurement measure(const EngineSpec& engine, const Module& suite,
                     std::span<const KernelInfo> kernels) {
   Measurement m;
-  OnlineTarget target(kind, {}, tier0_config(engine));
-  load_or_die(target, suite);
+  PredecodeCache cache;
   Memory mem(1 << 20);
   setup_memory(mem, kElems);
 
   // Warm-up doubles as the differential check: memory evolves
   // deterministically round by round, so these observations must agree
-  // bit-for-bit across engines of the same ISA.
+  // bit-for-bit across engines.
   for (int r = 0; r < kVerifyRounds; ++r) {
-    run_round(target, mem, kernels, &m.verify);
+    run_round(suite, engine, cache, mem, kernels, &m.verify);
   }
 
   // Steady state: the pre-decoded streams are cached, every call is pure
@@ -140,7 +118,7 @@ Measurement measure(TargetKind kind, const EngineSpec& engine,
   const auto t0 = Clock::now();
   auto t1 = t0;
   do {
-    steps += run_round(target, mem, kernels, nullptr);
+    steps += run_round(suite, engine, cache, mem, kernels, nullptr);
     t1 = Clock::now();
   } while (std::chrono::duration<double>(t1 - t0).count() < kMinWindowSec);
   const double sec = std::chrono::duration<double>(t1 - t0).count();
@@ -159,8 +137,32 @@ int main() {
               "threaded engine %s in this build)\n",
               kernels.size(), kElems, kMinWindowSec * 1000.0,
               Interpreter::threaded_available() ? "available" : "COMPILED OUT");
-  std::printf("%-8s %14s %14s %16s %10s %10s\n", "isa", "switch", "threaded",
-              "threaded+fused", "thr/sw", "fused/sw");
+  std::printf("%-8s %14s %14s %16s %10s %10s\n", "trial", "switch",
+              "threaded", "threaded+fused", "thr/sw", "fused/sw");
+  print_rule(78);
+
+  constexpr size_t kEngineCount = std::size(kEngines);
+  std::vector<double> sps[kEngineCount];
+  for (int t = 0; t < kTrials; ++t) {
+    std::vector<RoundResult> oracle;
+    double row[kEngineCount] = {};
+    for (size_t e = 0; e < kEngineCount; ++e) {
+      const Measurement m = measure(kEngines[e], suite, kernels);
+      row[e] = m.steps_per_sec;
+      sps[e].push_back(m.steps_per_sec);
+      if (e == 0) {
+        oracle = m.verify;
+      } else if (!(m.verify == oracle)) {
+        std::fprintf(stderr,
+                     "interp_dispatch: BIT DIVERGENCE between switch and %s\n",
+                     kEngines[e].name);
+        std::abort();
+      }
+    }
+    std::printf("%-8d %14.3e %14.3e %16.3e %9.2fx %9.2fx\n", t, row[0],
+                row[1], row[2], row[0] > 0.0 ? row[1] / row[0] : 0.0,
+                row[0] > 0.0 ? row[2] / row[0] : 0.0);
+  }
   print_rule(78);
 
   std::vector<BenchMetric> metrics;
@@ -168,40 +170,29 @@ int main() {
                        Interpreter::threaded_available() ? 1.0 : 0.0);
   metrics.emplace_back("elems", kElems);
   metrics.emplace_back("kernels", static_cast<double>(kernels.size()));
-
-  for (const IsaSpec& isa : kIsas) {
-    double sps[std::size(kEngines)] = {};
-    std::vector<RoundResult> oracle;
-    for (size_t e = 0; e < std::size(kEngines); ++e) {
-      const Measurement m = measure(isa.kind, kEngines[e], suite, kernels);
-      sps[e] = m.steps_per_sec;
-      if (e == 0) {
-        oracle = m.verify;
-      } else if (!(m.verify == oracle)) {
-        std::fprintf(stderr,
-                     "interp_dispatch: BIT DIVERGENCE between switch and %s "
-                     "on %s\n", kEngines[e].name, isa.name);
-        std::abort();
-      }
-      metrics.emplace_back(std::string(isa.name) + "." + kEngines[e].name +
-                               ".steps_per_sec", m.steps_per_sec);
-    }
-    const double thr = sps[0] > 0.0 ? sps[1] / sps[0] : 0.0;
-    const double fused = sps[0] > 0.0 ? sps[2] / sps[0] : 0.0;
-    metrics.emplace_back(std::string(isa.name) + ".speedup.threaded", thr);
-    metrics.emplace_back(std::string(isa.name) + ".speedup.threaded_fused",
-                         fused);
-    std::printf("%-8s %14.3e %14.3e %16.3e %9.2fx %9.2fx\n", isa.name, sps[0],
-                sps[1], sps[2], thr, fused);
+  double median[kEngineCount] = {};
+  for (size_t e = 0; e < kEngineCount; ++e) {
+    std::sort(sps[e].begin(), sps[e].end());
+    median[e] = sps[e][sps[e].size() / 2];
+    const std::string key = kEngines[e].name;
+    metrics.emplace_back(key + ".steps_per_sec", median[e]);
+    metrics.emplace_back(key + ".steps_per_sec.min", sps[e].front());
+    metrics.emplace_back(key + ".steps_per_sec.max", sps[e].back());
   }
-  print_rule(78);
+  const double thr = median[0] > 0.0 ? median[1] / median[0] : 0.0;
+  const double fused = median[0] > 0.0 ? median[2] / median[0] : 0.0;
+  metrics.emplace_back("speedup.threaded", thr);
+  metrics.emplace_back("speedup.threaded_fused", fused);
+  std::printf("%-8s %14.3e %14.3e %16.3e %9.2fx %9.2fx\n", "median",
+              median[0], median[1], median[2], thr, fused);
   std::printf("every engine verified bit-identical to the switch oracle "
-              "(%d rounds x %zu kernels per ISA)\n",
+              "(%d rounds x %zu kernels per trial)\n",
               kVerifyRounds, kernels.size());
 
   bench_report("interp",
                {{"elems", std::to_string(kElems)},
-                {"verify_rounds", std::to_string(kVerifyRounds)}},
+                {"verify_rounds", std::to_string(kVerifyRounds)},
+                {"trials", std::to_string(kTrials)}},
                metrics);
   return 0;
 }

@@ -81,10 +81,8 @@ Engine::Builder& Engine::Builder::tier2(uint32_t threshold) {
   return *this;
 }
 
-Engine::Builder& Engine::Builder::tier0_dispatch(DispatchKind kind,
-                                                 bool fusion) {
+Engine::Builder& Engine::Builder::tier0_dispatch(DispatchKind kind) {
   options_.tier0_dispatch = kind;
-  options_.tier0_fusion = fusion;
   return *this;
 }
 
@@ -258,7 +256,6 @@ Result<Deployment> Engine::deploy(const ModuleHandle& module,
   soc_options.profile = options_.profile;
   soc_options.tier2_threshold = options_.tier2_threshold;
   soc_options.tier0_dispatch = options_.tier0_dispatch;
-  soc_options.tier0_fusion = options_.tier0_fusion;
   soc_options.pool_threads = options_.pool_threads;
   soc_options.cache_budget_bytes = options_.cache_budget_bytes;
   soc_options.persistent_cache_path = options_.persistent_cache_path;

@@ -66,7 +66,6 @@ struct EngineOptions {
   // engine on request. Results are bit-identical across engines -- the
   // differential fuzz harness (src/fuzz) runs both as cells.
   DispatchKind tier0_dispatch = DispatchKind::Threaded;
-  bool tier0_fusion = true;
   size_t pool_threads = 0;
   size_t cache_budget_bytes = SIZE_MAX;
   // Directory of the persistent on-disk code cache shared by every
@@ -182,11 +181,11 @@ class Engine::Builder {
   /// after `threshold` JIT-served calls (0 disables tier 2).
   Builder& tier2(uint32_t threshold);
   /// Tier-0 engine selection for tiered deployments: Threaded (the
-  /// default computed-goto engine, with optional superinstruction
-  /// fusion) or Switch (the portable reference engine). Semantics are
-  /// identical either way; this knob exists for benchmarking and for
-  /// the differential fuzz harness, which runs both engines as cells.
-  Builder& tier0_dispatch(DispatchKind kind, bool fusion = true);
+  /// default computed-goto engine, with superinstruction fusion) or
+  /// Switch (the portable reference engine). Semantics are identical
+  /// either way; this knob exists for benchmarking and for the
+  /// differential fuzz harness, which runs both engines as cells.
+  Builder& tier0_dispatch(DispatchKind kind);
   Builder& pool_threads(size_t threads);
   Builder& cache_budget(size_t bytes);
   /// Persistent on-disk code cache rooted at `path` (created if needed):

@@ -17,9 +17,8 @@
 //     (profile-guided) tuner, dataflow scheduling, and the deployment
 //     image (de)serializer
 //
-// Entry points predating the facade (compile_source, compile_or_die, the
-// raw-reference load()) are deprecated; see the migration table in
-// README.md "Embedding API".
+// The entry points predating the facade have been removed; the migration
+// table in docs/EMBEDDING.md maps each one to its replacement.
 #pragma once
 
 // The facade.

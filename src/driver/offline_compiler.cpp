@@ -137,29 +137,4 @@ Result<Module> compile_module(std::string_view source,
   return module;
 }
 
-// The deprecated shims below are implemented strictly in terms of
-// compile_module so old and new entry points cannot drift apart
-// (tests/api_test.cpp asserts bit-identical output).
-
-std::optional<Module> compile_source(std::string_view source,
-                                     const OfflineOptions& options,
-                                     DiagnosticEngine& diags,
-                                     Statistics* stats) {
-  Result<Module> result = compile_module(source, options, stats);
-  if (!result.ok()) {
-    for (const Diagnostic& d : result.error()) diags.report(d);
-    return std::nullopt;
-  }
-  return std::move(result).value();
-}
-
-Module compile_or_die(std::string_view source,
-                      const OfflineOptions& options) {
-  Result<Module> result = compile_module(source, options);
-  if (!result.ok()) {
-    fatal("compile_or_die failed:\n" + result.error_text());
-  }
-  return std::move(result).value();
-}
-
 }  // namespace svc

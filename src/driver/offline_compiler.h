@@ -35,7 +35,7 @@ struct OfflineOptions {
   // behavior instead of the blind defaults, and the profile annotations
   // are carried over to the recompiled functions (matched by name) so the
   // next cycle's consumers -- tuner, mapper, tier-2 -- still see them.
-  // Not owned; must outlive the compile_source call.
+  // Not owned; must outlive the compile_module call.
   const Module* profile = nullptr;
 };
 
@@ -47,18 +47,5 @@ struct OfflineOptions {
 [[nodiscard]] Result<Module> compile_module(std::string_view source,
                                             const OfflineOptions& options = {},
                                             Statistics* stats = nullptr);
-
-/// Deprecated optional-plus-out-param spelling of compile_module(); the
-/// diagnostics are replayed into `diags`. Bit-identical to the facade
-/// path (asserted by tests/api_test.cpp).
-[[deprecated("use compile_module() (or svc::Engine::compile); see README "
-             "'Embedding API'")]] [[nodiscard]] std::optional<Module>
-compile_source(std::string_view source, const OfflineOptions& options,
-               DiagnosticEngine& diags, Statistics* stats = nullptr);
-
-/// Deprecated fatal-on-error wrapper (pre-Result test/bench convenience).
-[[deprecated("use value_or_die(compile_module(...)) -- tests/test_util.h "
-             "or bench/bench_util.h")]] [[nodiscard]] Module
-compile_or_die(std::string_view source, const OfflineOptions& options = {});
 
 }  // namespace svc

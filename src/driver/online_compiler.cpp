@@ -127,17 +127,6 @@ Result<void> OnlineTarget::load_module(std::shared_ptr<const Module> module) {
   return {};
 }
 
-void OnlineTarget::load(const Module& module) {
-  // Deprecated shim: borrowed lifetime (caller keeps `module` alive),
-  // fatal on error -- the pre-Result contract, implemented on the new
-  // path so the two cannot diverge.
-  const Result<void> result = load_module(borrow_module(module));
-  if (!result.ok()) {
-    fatal("OnlineTarget::load: invalid module '" + module.name() + "':\n" +
-          result.error_text());
-  }
-}
-
 SimResult OnlineTarget::run(std::string_view name,
                             const std::vector<Value>& args, Memory& memory,
                             uint64_t step_budget) {
@@ -384,7 +373,6 @@ SimResult OnlineTarget::interpret(uint32_t func_idx,
   Interpreter interp(*module_, memory);
   interp.set_step_budget(step_budget);
   interp.set_dispatch(config_.tier0_dispatch);
-  interp.set_fusion(config_.tier0_fusion);
   // Tier-0 pre-decoded streams persist across the per-call Interpreter:
   // lowering happens once per (module, function), not once per request.
   interp.set_predecode_cache(config_.predecode ? config_.predecode

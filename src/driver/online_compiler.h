@@ -74,11 +74,10 @@ struct OnlineTargetConfig {
   // once per call.
   PredecodeCache* predecode = nullptr;
   // Tier-0 engine selection, forwarded to every interpreter this target
-  // creates. The defaults are the production engine; benches and
-  // differential tests flip these to compare engines (results are
-  // bit-identical either way -- see vm/interpreter.h).
+  // creates. The default is the production engine; differential tests
+  // flip it to compare engines (results are bit-identical either way --
+  // see vm/interpreter.h).
   DispatchKind tier0_dispatch = DispatchKind::Threaded;
-  bool tier0_fusion = true;
 };
 
 class OnlineTarget {
@@ -114,13 +113,6 @@ class OnlineTarget {
   /// borrow_module(m) and keep the old outlives-the-target contract. The
   /// module must not be mutated after loading.
   [[nodiscard]] Result<void> load_module(std::shared_ptr<const Module> module);
-
-  /// Deprecated raw-reference spelling of load_module(): retains only a
-  /// borrowed pointer (caller keeps the module alive) and fatals on an
-  /// invalid module.
-  [[deprecated("use load_module(borrow_module(m)) or deploy through "
-               "svc::Engine (api/svc.h)")]] void
-  load(const Module& module);
 
   /// Runs a loaded function by name on `memory`. In tiered mode the call
   /// is served by the interpreter until the function and everything it

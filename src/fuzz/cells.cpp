@@ -64,7 +64,7 @@ std::string Cell::key() const {
   } else if (dispatch == DispatchKind::Switch) {
     out += "switch";
   } else {
-    out += fusion ? "threaded" : "threaded_nofuse";
+    out += "threaded";
   }
   out += "/off=";
   out += offline_pipeline.empty() ? "default" : offline_pipeline;
@@ -81,11 +81,9 @@ Cell canonicalize(const Cell& cell) {
     // The build serves Threaded requests on the switch engine anyway.
     c.dispatch = DispatchKind::Switch;
   }
-  if (c.dispatch == DispatchKind::Switch) c.fusion = false;
   if (c.tier == TierMode::Eager) {
     // No tier 0 -> the dispatch axis does not exist for this cell.
     c.dispatch = DispatchKind::Switch;
-    c.fusion = false;
   }
   c.offline_pipeline = dedupe_pipeline(c.offline_pipeline);
   c.jit_pipeline = dedupe_pipeline(c.jit_pipeline);
@@ -94,7 +92,6 @@ Cell canonicalize(const Cell& cell) {
   if (c.warm_boot) {
     c.tier = TierMode::Eager;
     c.dispatch = DispatchKind::Switch;
-    c.fusion = false;
   }
   return c;
 }
@@ -138,13 +135,8 @@ std::optional<Cell> parse_cell(std::string_view text) {
 
   if (fields[3] == "switch" || fields[3] == "-") {
     c.dispatch = DispatchKind::Switch;
-    c.fusion = false;
   } else if (fields[3] == "threaded") {
     c.dispatch = DispatchKind::Threaded;
-    c.fusion = true;
-  } else if (fields[3] == "threaded_nofuse") {
-    c.dispatch = DispatchKind::Threaded;
-    c.fusion = false;
   } else {
     return std::nullopt;
   }
@@ -212,7 +204,6 @@ std::vector<Cell> build_cell_matrix(uint64_t seed,
   // Tier-0 dispatch variants (the switch engine doubles as the oracle,
   // but here it runs through the full tiered runtime path).
   add(TargetKind::X86Sim, TierMode::Tiered).dispatch = DispatchKind::Switch;
-  add(TargetKind::SpuSim, TierMode::Tiered).fusion = false;
 
   // Register-allocator diversity on rotating targets.
   add(TargetKind::SparcSim, TierMode::Eager).alloc = AllocPolicy::NaiveOnline;

@@ -3,11 +3,11 @@
 // with the tier-0 switch-interpreter oracle. See docs/FUZZING.md.
 //
 // The raw lattice is huge (4 targets x 3 tier modes x 4 alloc policies x
-// 3 dispatch variants x unbounded pipeline strings x boot modes), but
+// 2 dispatch engines x unbounded pipeline strings x boot modes), but
 // most of it is redundant: many points are *equivalent by construction*
-// (fusion is a no-op on the switch engine, the dispatch axis does not
-// exist for eager deployments, a pipeline spec with a repeated cleanup
-// pass compiles identically to the deduplicated one). Following the
+// (the dispatch axis does not exist for eager deployments, a pipeline
+// spec with a repeated cleanup pass compiles identically to the
+// deduplicated one). Following the
 // configuration-pruning idea in access-control model checking (PAPERS.md:
 // CoAChecker prunes equivalent policy states before search), cells are
 // canonicalized and deduplicated before any program runs, and the matrix
@@ -45,7 +45,6 @@ struct Cell {
   AllocPolicy alloc = AllocPolicy::LinearScan;
   // Tier-0 engine (tiered modes only; collapsed for eager cells).
   DispatchKind dispatch = DispatchKind::Threaded;
-  bool fusion = true;
   // Pipeline overrides; empty = the engine's default schedule.
   std::string offline_pipeline;
   std::string jit_pipeline;
@@ -60,7 +59,7 @@ struct Cell {
 };
 
 /// Normalizes a cell to its equivalence-class representative:
-/// switch dispatch drops fusion, eager drops the dispatch axis entirely,
+/// eager drops the dispatch axis entirely,
 /// threaded downgrades to switch when compiled out, pipeline specs are
 /// re-rendered with consecutive duplicate passes removed.
 [[nodiscard]] Cell canonicalize(const Cell& cell);

@@ -219,11 +219,10 @@ class CellExecutor {
         b.eager();
         break;
       case TierMode::Tiered:
-        b.tiered(2).tier0_dispatch(cell.dispatch, cell.fusion);
+        b.tiered(2).tier0_dispatch(cell.dispatch);
         break;
       case TierMode::Tier2:
-        b.tiered(1).profiling(true).tier2(2).tier0_dispatch(cell.dispatch,
-                                                            cell.fusion);
+        b.tiered(1).profiling(true).tier2(2).tier0_dispatch(cell.dispatch);
         break;
     }
     if (!store_dir.empty()) b.persistent_cache(store_dir);

@@ -42,7 +42,7 @@ using IRPassManager = PassManager<IRFunction, IRPipelineContext>;
 
 /// Spec equivalent of the full offline schedule: cleanup, then -- when
 /// `vectorize` -- the vectorizer followed by a second cleanup round.
-/// compile_source() runs this when no explicit pipeline is given, so
+/// compile_module() runs this when no explicit pipeline is given, so
 /// running it through the manager reproduces the pre-pipeline compiler
 /// bit for bit.
 [[nodiscard]] PipelineSpec default_ir_pipeline(const PassOptions& options,

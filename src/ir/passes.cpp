@@ -1,10 +1,14 @@
 #include "ir/passes.h"
 
-#include "ir/loop_info.h"
-
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
+
+#include "ir/loop_info.h"
+#include "vm/semantics.h"
 
 namespace svc {
 namespace {
@@ -53,47 +57,37 @@ bool has_side_effects(const IRInst& inst) {
 }  // namespace
 
 uint32_t run_fold_pass(IRFunction& fn) {
+  // The i32 binary opcodes folded when both operands are constants,
+  // evaluated by their one definition in vm/semantics.h.
+  using Fold = int32_t (*)(int32_t, int32_t);
+  static constexpr std::pair<Opcode, Fold> kFoldable[] = {
+      {Opcode::AddI32, &sem::AddI32}, {Opcode::SubI32, &sem::SubI32},
+      {Opcode::MulI32, &sem::MulI32}, {Opcode::AndI32, &sem::AndI32},
+      {Opcode::OrI32, &sem::OrI32},   {Opcode::XorI32, &sem::XorI32},
+      {Opcode::ShlI32, &sem::ShlI32}, {Opcode::LtSI32, &sem::LtSI32},
+      {Opcode::GtSI32, &sem::GtSI32}, {Opcode::EqI32, &sem::EqI32},
+      {Opcode::NeI32, &sem::NeI32},
+  };
   const auto consts = const_map(fn);
   uint32_t folded = 0;
-  auto cval = [&](ValueId v) -> std::optional<int64_t> {
+  auto cval = [&](ValueId v) -> std::optional<int32_t> {
     const auto it = consts.find(v);
     if (it == consts.end()) return std::nullopt;
-    return it->second;
+    return static_cast<int32_t>(it->second);
   };
   for (IRBlock& block : fn.blocks()) {
     for (IRInst& inst : block.insts) {
       if (inst.dst == kNoValue) continue;
+      const auto* fold = std::find_if(
+          std::begin(kFoldable), std::end(kFoldable),
+          [&](const auto& entry) { return entry.first == inst.op; });
+      if (fold == std::end(kFoldable)) continue;
       const auto a = cval(inst.s0);
       const auto b = cval(inst.s1);
       if (!a || !b) continue;
-      const auto ua = static_cast<uint32_t>(*a);
-      const auto ub = static_cast<uint32_t>(*b);
-      std::optional<int32_t> result;
-      switch (inst.op) {
-        case Opcode::AddI32: result = static_cast<int32_t>(ua + ub); break;
-        case Opcode::SubI32: result = static_cast<int32_t>(ua - ub); break;
-        case Opcode::MulI32: result = static_cast<int32_t>(ua * ub); break;
-        case Opcode::AndI32: result = static_cast<int32_t>(ua & ub); break;
-        case Opcode::OrI32: result = static_cast<int32_t>(ua | ub); break;
-        case Opcode::XorI32: result = static_cast<int32_t>(ua ^ ub); break;
-        case Opcode::ShlI32:
-          result = static_cast<int32_t>(ua << (ub & 31));
-          break;
-        case Opcode::LtSI32:
-          result = static_cast<int32_t>(*a) < static_cast<int32_t>(*b);
-          break;
-        case Opcode::GtSI32:
-          result = static_cast<int32_t>(*a) > static_cast<int32_t>(*b);
-          break;
-        case Opcode::EqI32: result = (*a == *b); break;
-        case Opcode::NeI32: result = (*a != *b); break;
-        default: break;
-      }
-      if (result) {
-        inst = {Opcode::ConstI32, inst.dst, kNoValue, kNoValue, kNoValue,
-                *result, 0, 0};
-        ++folded;
-      }
+      inst = {Opcode::ConstI32, inst.dst, kNoValue, kNoValue, kNoValue,
+              fold->second(*a, *b), 0, 0};
+      ++folded;
     }
   }
   return folded;

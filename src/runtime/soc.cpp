@@ -33,7 +33,6 @@ Soc::Soc(std::vector<CoreSpec> cores, size_t memory_bytes, SocOptions options)
       options_.tier2_threshold, &cache_,            pool_.get(),
       &predecode_};
   core_config.tier0_dispatch = options_.tier0_dispatch;
-  core_config.tier0_fusion = options_.tier0_fusion;
   cores_.reserve(specs_.size());
   for (const CoreSpec& spec : specs_) {
     cores_.push_back(
@@ -64,16 +63,6 @@ Result<void> Soc::load_module(std::shared_ptr<const Module> module) {
     }
   }
   return {};
-}
-
-void Soc::load(const Module& module) {
-  // Deprecated shim: borrowed lifetime, fatal on error (the pre-Result
-  // contract), implemented on the new path so the two cannot diverge.
-  const Result<void> result = load_module(borrow_module(module));
-  if (!result.ok()) {
-    fatal("Soc::load: invalid module '" + module.name() + "':\n" +
-          result.error_text());
-  }
 }
 
 void Soc::wait_warmup() {

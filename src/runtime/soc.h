@@ -47,7 +47,6 @@ struct SocOptions {
   // (results are bit-identical across engines -- the fuzz harness in
   // src/fuzz runs both as differential cells; see vm/interpreter.h).
   DispatchKind tier0_dispatch = DispatchKind::Threaded;
-  bool tier0_fusion = true;
   // Background compile workers; 0 = no pool, tier-up compiles run
   // synchronously at the promotion threshold.
   size_t pool_threads = 0;
@@ -80,13 +79,6 @@ class Soc {
   /// borrow_module(m) to keep managing the lifetime yourself. The module
   /// must not be mutated after loading.
   [[nodiscard]] Result<void> load_module(std::shared_ptr<const Module> module);
-
-  /// Deprecated raw-reference spelling of load_module(): retains only a
-  /// borrowed pointer (caller keeps the module alive) and fatals on an
-  /// invalid module.
-  [[deprecated("use load_module(borrow_module(m)) or deploy through "
-               "svc::Engine (api/svc.h)")]] void
-  load(const Module& module);
 
   [[nodiscard]] size_t num_cores() const { return cores_.size(); }
   [[nodiscard]] const CoreSpec& core_spec(size_t c) const { return specs_[c]; }

@@ -41,11 +41,6 @@ void DiagnosticEngine::note(SourceLoc loc, std::string message) {
   diags_.push_back({Severity::Note, loc, std::move(message)});
 }
 
-void DiagnosticEngine::report(Diagnostic diag) {
-  if (diag.severity == Severity::Error) ++error_count_;
-  diags_.push_back(std::move(diag));
-}
-
 std::string render_diagnostics(const std::vector<Diagnostic>& diags) {
   std::string out;
   for (const auto& d : diags) {

@@ -42,11 +42,6 @@ class DiagnosticEngine {
   void warning(SourceLoc loc, std::string message);
   void note(SourceLoc loc, std::string message);
 
-  /// Appends an already-built diagnostic (error counting included) --
-  /// how Result<T> failures (support/result.h) are replayed into an
-  /// engine by the deprecated out-param shims.
-  void report(Diagnostic diag);
-
   [[nodiscard]] bool has_errors() const { return error_count_ > 0; }
   [[nodiscard]] size_t error_count() const { return error_count_; }
   [[nodiscard]] const std::vector<Diagnostic>& all() const { return diags_; }

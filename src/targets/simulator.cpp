@@ -1,8 +1,7 @@
 #include "targets/simulator.h"
 
 #include <bit>
-#include <cmath>
-#include <limits>
+#include <type_traits>
 
 #include "support/diagnostics.h"
 
@@ -91,6 +90,51 @@ class SimFrame {
       case Type::Void: break;
     }
   }
+  // Operands of a value opcode: s0, s1, s2 in push order; the result goes
+  // to dst.
+  struct RegOperands {
+    SimFrame& f;
+    const MInst& inst;
+
+    template <class T, size_t K>
+    [[nodiscard]] decltype(auto) operand() const {
+      const Reg& r = K == 0 ? inst.s0 : K == 1 ? inst.s1 : inst.s2;
+      if constexpr (std::is_same_v<T, int32_t>) {
+        return f.i32get(r);
+      } else if constexpr (std::is_same_v<T, int64_t>) {
+        return f.iget(r);
+      } else if constexpr (std::is_same_v<T, float>) {
+        return f.f32get(r);
+      } else if constexpr (std::is_same_v<T, double>) {
+        return f.fget(r);
+      } else {
+        return f.vget(r);
+      }
+    }
+    void result(int32_t v) { f.i32set(inst.dst, v); }
+    void result(int64_t v) { f.iset(inst.dst, v); }
+    void result(float v) { f.f32set(inst.dst, v); }
+    void result(double v) { f.fset(inst.dst, v); }
+    void result(const V128& v) { f.vset(inst.dst, v); }
+    [[nodiscard]] Memory& memory() const { return f.mem_; }
+    [[nodiscard]] int64_t offset() const { return inst.imm; }
+    [[nodiscard]] uint32_t lane() const { return inst.a; }
+  };
+
+  template <auto F>
+  SVC_SEM_INLINE TrapKind apply(const MInst& inst) {
+    RegOperands ops{*this, inst};
+    const TrapKind trap = sem::apply<F>(ops);
+    if (trap != TrapKind::None) return trap;
+    using S = sem::SignatureOf<F>;
+    if constexpr (S::kLoads) {
+      sim_.stats_.loads += 1;
+      mark_load(inst);
+    }
+    if constexpr (S::kStores) sim_.stats_.stores += 1;
+    return TrapKind::None;
+  }
+
   [[nodiscard]] Value get_value(const Reg& r, Type t) const {
     switch (t) {
       case Type::I32: return Value::make_i32(i32get(r));
@@ -211,12 +255,14 @@ TrapKind SimFrame::run(std::span<const Value> args, Value& ret_out) {
             break;
           }
           case MOp::FMA32:
-            f32set(inst.dst, f32get(inst.s0) * f32get(inst.s1) +
-                                 f32get(inst.s2));
+            // Two roundings: exactly the mul.f32 + add.f32 it replaces.
+            f32set(inst.dst,
+                   sem::AddF32(sem::MulF32(f32get(inst.s0), f32get(inst.s1)),
+                               f32get(inst.s2)));
             break;
           case MOp::LoadAddr:
-            i32set(inst.dst,
-                   static_cast<int32_t>(i32get(inst.s0) + inst.imm));
+            i32set(inst.dst, sem::AddI32(i32get(inst.s0),
+                                         static_cast<int32_t>(inst.imm)));
             break;
           case MOp::MNop:
             break;
@@ -226,572 +272,22 @@ TrapKind SimFrame::run(std::span<const Value> args, Value& ret_out) {
         continue;
       }
 
-      // --- shared-semantics ops -------------------------------------------
+      // --- SVIL ops ------------------------------------------------------
       const Opcode bc = base_opcode(inst.op);
       switch (bc) {
-        // Integer arithmetic (i32 slices of int registers).
-        case Opcode::AddI32:
-          i32set(inst.dst,
-                 static_cast<int32_t>(static_cast<uint32_t>(i32get(inst.s0)) +
-                                      static_cast<uint32_t>(i32get(inst.s1))));
-          break;
-        case Opcode::SubI32:
-          i32set(inst.dst,
-                 static_cast<int32_t>(static_cast<uint32_t>(i32get(inst.s0)) -
-                                      static_cast<uint32_t>(i32get(inst.s1))));
-          break;
-        case Opcode::MulI32:
-          i32set(inst.dst,
-                 static_cast<int32_t>(static_cast<uint32_t>(i32get(inst.s0)) *
-                                      static_cast<uint32_t>(i32get(inst.s1))));
-          break;
-        case Opcode::DivSI32: {
-          const int32_t a = i32get(inst.s0), b = i32get(inst.s1);
-          if (b == 0) return TrapKind::DivideByZero;
-          if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-            return TrapKind::IntegerOverflow;
-          }
-          i32set(inst.dst, a / b);
-          break;
-        }
-        case Opcode::DivUI32: {
-          const auto a = static_cast<uint32_t>(i32get(inst.s0));
-          const auto b = static_cast<uint32_t>(i32get(inst.s1));
-          if (b == 0) return TrapKind::DivideByZero;
-          i32set(inst.dst, static_cast<int32_t>(a / b));
-          break;
-        }
-        case Opcode::RemSI32: {
-          const int32_t a = i32get(inst.s0), b = i32get(inst.s1);
-          if (b == 0) return TrapKind::DivideByZero;
-          if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-            i32set(inst.dst, 0);
-          } else {
-            i32set(inst.dst, a % b);
-          }
-          break;
-        }
-        case Opcode::RemUI32: {
-          const auto a = static_cast<uint32_t>(i32get(inst.s0));
-          const auto b = static_cast<uint32_t>(i32get(inst.s1));
-          if (b == 0) return TrapKind::DivideByZero;
-          i32set(inst.dst, static_cast<int32_t>(a % b));
-          break;
-        }
-        case Opcode::AndI32:
-          i32set(inst.dst, i32get(inst.s0) & i32get(inst.s1));
-          break;
-        case Opcode::OrI32:
-          i32set(inst.dst, i32get(inst.s0) | i32get(inst.s1));
-          break;
-        case Opcode::XorI32:
-          i32set(inst.dst, i32get(inst.s0) ^ i32get(inst.s1));
-          break;
-        case Opcode::ShlI32:
-          i32set(inst.dst,
-                 static_cast<int32_t>(static_cast<uint32_t>(i32get(inst.s0))
-                                      << (i32get(inst.s1) & 31)));
-          break;
-        case Opcode::ShrSI32:
-          i32set(inst.dst, i32get(inst.s0) >> (i32get(inst.s1) & 31));
-          break;
-        case Opcode::ShrUI32:
-          i32set(inst.dst,
-                 static_cast<int32_t>(static_cast<uint32_t>(i32get(inst.s0)) >>
-                                      (i32get(inst.s1) & 31)));
-          break;
-        case Opcode::MinSI32:
-          i32set(inst.dst, std::min(i32get(inst.s0), i32get(inst.s1)));
-          break;
-        case Opcode::MaxSI32:
-          i32set(inst.dst, std::max(i32get(inst.s0), i32get(inst.s1)));
-          break;
-        case Opcode::MinUI32:
-          i32set(inst.dst, static_cast<int32_t>(
-                               std::min(static_cast<uint32_t>(i32get(inst.s0)),
-                                        static_cast<uint32_t>(i32get(inst.s1)))));
-          break;
-        case Opcode::MaxUI32:
-          i32set(inst.dst, static_cast<int32_t>(
-                               std::max(static_cast<uint32_t>(i32get(inst.s0)),
-                                        static_cast<uint32_t>(i32get(inst.s1)))));
-          break;
-        case Opcode::EqzI32:
-          i32set(inst.dst, i32get(inst.s0) == 0);
-          break;
-
-        case Opcode::EqI32: i32set(inst.dst, i32get(inst.s0) == i32get(inst.s1)); break;
-        case Opcode::NeI32: i32set(inst.dst, i32get(inst.s0) != i32get(inst.s1)); break;
-        case Opcode::LtSI32: i32set(inst.dst, i32get(inst.s0) < i32get(inst.s1)); break;
-        case Opcode::LtUI32:
-          i32set(inst.dst, static_cast<uint32_t>(i32get(inst.s0)) <
-                               static_cast<uint32_t>(i32get(inst.s1)));
-          break;
-        case Opcode::LeSI32: i32set(inst.dst, i32get(inst.s0) <= i32get(inst.s1)); break;
-        case Opcode::LeUI32:
-          i32set(inst.dst, static_cast<uint32_t>(i32get(inst.s0)) <=
-                               static_cast<uint32_t>(i32get(inst.s1)));
-          break;
-        case Opcode::GtSI32: i32set(inst.dst, i32get(inst.s0) > i32get(inst.s1)); break;
-        case Opcode::GtUI32:
-          i32set(inst.dst, static_cast<uint32_t>(i32get(inst.s0)) >
-                               static_cast<uint32_t>(i32get(inst.s1)));
-          break;
-        case Opcode::GeSI32: i32set(inst.dst, i32get(inst.s0) >= i32get(inst.s1)); break;
-        case Opcode::GeUI32:
-          i32set(inst.dst, static_cast<uint32_t>(i32get(inst.s0)) >=
-                               static_cast<uint32_t>(i32get(inst.s1)));
-          break;
-
-        // i64.
-        case Opcode::AddI64:
-          iset(inst.dst, static_cast<int64_t>(static_cast<uint64_t>(iget(inst.s0)) +
-                                              static_cast<uint64_t>(iget(inst.s1))));
-          break;
-        case Opcode::SubI64:
-          iset(inst.dst, static_cast<int64_t>(static_cast<uint64_t>(iget(inst.s0)) -
-                                              static_cast<uint64_t>(iget(inst.s1))));
-          break;
-        case Opcode::MulI64:
-          iset(inst.dst, static_cast<int64_t>(static_cast<uint64_t>(iget(inst.s0)) *
-                                              static_cast<uint64_t>(iget(inst.s1))));
-          break;
-        case Opcode::DivSI64: {
-          const int64_t a = iget(inst.s0), b = iget(inst.s1);
-          if (b == 0) return TrapKind::DivideByZero;
-          if (a == std::numeric_limits<int64_t>::min() && b == -1) {
-            return TrapKind::IntegerOverflow;
-          }
-          iset(inst.dst, a / b);
-          break;
-        }
-        case Opcode::AndI64: iset(inst.dst, iget(inst.s0) & iget(inst.s1)); break;
-        case Opcode::OrI64: iset(inst.dst, iget(inst.s0) | iget(inst.s1)); break;
-        case Opcode::XorI64: iset(inst.dst, iget(inst.s0) ^ iget(inst.s1)); break;
-        case Opcode::ShlI64:
-          iset(inst.dst, static_cast<int64_t>(static_cast<uint64_t>(iget(inst.s0))
-                                              << (iget(inst.s1) & 63)));
-          break;
-        case Opcode::ShrSI64:
-          iset(inst.dst, iget(inst.s0) >> (iget(inst.s1) & 63));
-          break;
-        case Opcode::ShrUI64:
-          iset(inst.dst, static_cast<int64_t>(static_cast<uint64_t>(iget(inst.s0)) >>
-                                              (iget(inst.s1) & 63)));
-          break;
-        case Opcode::EqI64: i32set(inst.dst, iget(inst.s0) == iget(inst.s1)); break;
-        case Opcode::NeI64: i32set(inst.dst, iget(inst.s0) != iget(inst.s1)); break;
-        case Opcode::LtSI64: i32set(inst.dst, iget(inst.s0) < iget(inst.s1)); break;
-        case Opcode::GtSI64: i32set(inst.dst, iget(inst.s0) > iget(inst.s1)); break;
-
-        // f32 (computed in float precision, stored widened).
-        case Opcode::AddF32: f32set(inst.dst, f32get(inst.s0) + f32get(inst.s1)); break;
-        case Opcode::SubF32: f32set(inst.dst, f32get(inst.s0) - f32get(inst.s1)); break;
-        case Opcode::MulF32: f32set(inst.dst, f32get(inst.s0) * f32get(inst.s1)); break;
-        case Opcode::DivF32: f32set(inst.dst, f32get(inst.s0) / f32get(inst.s1)); break;
-        case Opcode::MinF32:
-          f32set(inst.dst, std::fmin(f32get(inst.s0), f32get(inst.s1)));
-          break;
-        case Opcode::MaxF32:
-          f32set(inst.dst, std::fmax(f32get(inst.s0), f32get(inst.s1)));
-          break;
-        case Opcode::NegF32: f32set(inst.dst, -f32get(inst.s0)); break;
-        case Opcode::AbsF32: f32set(inst.dst, std::fabs(f32get(inst.s0))); break;
-        case Opcode::SqrtF32: f32set(inst.dst, std::sqrt(f32get(inst.s0))); break;
-        case Opcode::EqF32: i32set(inst.dst, f32get(inst.s0) == f32get(inst.s1)); break;
-        case Opcode::NeF32: i32set(inst.dst, f32get(inst.s0) != f32get(inst.s1)); break;
-        case Opcode::LtF32: i32set(inst.dst, f32get(inst.s0) < f32get(inst.s1)); break;
-        case Opcode::LeF32: i32set(inst.dst, f32get(inst.s0) <= f32get(inst.s1)); break;
-        case Opcode::GtF32: i32set(inst.dst, f32get(inst.s0) > f32get(inst.s1)); break;
-        case Opcode::GeF32: i32set(inst.dst, f32get(inst.s0) >= f32get(inst.s1)); break;
-
-        // f64.
-        case Opcode::AddF64: fset(inst.dst, fget(inst.s0) + fget(inst.s1)); break;
-        case Opcode::SubF64: fset(inst.dst, fget(inst.s0) - fget(inst.s1)); break;
-        case Opcode::MulF64: fset(inst.dst, fget(inst.s0) * fget(inst.s1)); break;
-        case Opcode::DivF64: fset(inst.dst, fget(inst.s0) / fget(inst.s1)); break;
-        case Opcode::MinF64:
-          fset(inst.dst, std::fmin(fget(inst.s0), fget(inst.s1)));
-          break;
-        case Opcode::MaxF64:
-          fset(inst.dst, std::fmax(fget(inst.s0), fget(inst.s1)));
-          break;
-        case Opcode::NegF64: fset(inst.dst, -fget(inst.s0)); break;
-        case Opcode::SqrtF64: fset(inst.dst, std::sqrt(fget(inst.s0))); break;
-        case Opcode::EqF64: i32set(inst.dst, fget(inst.s0) == fget(inst.s1)); break;
-        case Opcode::NeF64: i32set(inst.dst, fget(inst.s0) != fget(inst.s1)); break;
-        case Opcode::LtF64: i32set(inst.dst, fget(inst.s0) < fget(inst.s1)); break;
-        case Opcode::LeF64: i32set(inst.dst, fget(inst.s0) <= fget(inst.s1)); break;
-        case Opcode::GtF64: i32set(inst.dst, fget(inst.s0) > fget(inst.s1)); break;
-        case Opcode::GeF64: i32set(inst.dst, fget(inst.s0) >= fget(inst.s1)); break;
-
-        // Selects: dst = cond (s2) ? s0 : s1.
-        case Opcode::SelectI32:
-        case Opcode::SelectI64:
-          iset(inst.dst, i32get(inst.s2) != 0 ? iget(inst.s0) : iget(inst.s1));
-          break;
-        case Opcode::SelectF32:
-        case Opcode::SelectF64:
-          fset(inst.dst, i32get(inst.s2) != 0 ? fget(inst.s0) : fget(inst.s1));
-          break;
-
-        // Conversions.
-        case Opcode::I32ToI64S: iset(inst.dst, i32get(inst.s0)); break;
-        case Opcode::I32ToI64U:
-          iset(inst.dst, static_cast<uint32_t>(i32get(inst.s0)));
-          break;
-        case Opcode::I64ToI32:
-          i32set(inst.dst, static_cast<int32_t>(iget(inst.s0)));
-          break;
-        case Opcode::I32ToF32S:
-          f32set(inst.dst, static_cast<float>(i32get(inst.s0)));
-          break;
-        case Opcode::F32ToI32S:
-          i32set(inst.dst, static_cast<int32_t>(f32get(inst.s0)));
-          break;
-        case Opcode::I32ToF64S: fset(inst.dst, i32get(inst.s0)); break;
-        case Opcode::F64ToI32S:
-          i32set(inst.dst, static_cast<int32_t>(fget(inst.s0)));
-          break;
-        case Opcode::F32ToF64: fset(inst.dst, f32get(inst.s0)); break;
-        case Opcode::F64ToF32:
-          f32set(inst.dst, static_cast<float>(fget(inst.s0)));
-          break;
-        case Opcode::I64ToF64S:
-          fset(inst.dst, static_cast<double>(iget(inst.s0)));
-          break;
-        case Opcode::F64ToI64S:
-          iset(inst.dst, static_cast<int64_t>(fget(inst.s0)));
-          break;
-
-        // Memory.
-        case Opcode::LoadI8U:
-        case Opcode::LoadI8S:
-        case Opcode::LoadI16U:
-        case Opcode::LoadI16S:
-        case Opcode::LoadI32:
-        case Opcode::LoadI64:
-        case Opcode::LoadF32:
-        case Opcode::LoadF64:
-        case Opcode::LoadV128: {
-          const uint64_t addr = static_cast<uint32_t>(i32get(inst.s0)) +
-                                static_cast<uint64_t>(inst.imm);
-          const uint32_t len = op_info(bc).mem_bytes;
-          if (!mem_.in_bounds(addr, len)) return TrapKind::OutOfBoundsMemory;
-          const auto a32 = static_cast<uint32_t>(addr);
-          sim_.stats_.loads += 1;
-          switch (bc) {
-            case Opcode::LoadI8U: i32set(inst.dst, mem_.load_u8(a32)); break;
-            case Opcode::LoadI8S:
-              i32set(inst.dst, static_cast<int8_t>(mem_.load_u8(a32)));
-              break;
-            case Opcode::LoadI16U: i32set(inst.dst, mem_.load_u16(a32)); break;
-            case Opcode::LoadI16S:
-              i32set(inst.dst, static_cast<int16_t>(mem_.load_u16(a32)));
-              break;
-            case Opcode::LoadI32:
-              i32set(inst.dst, static_cast<int32_t>(mem_.load_u32(a32)));
-              break;
-            case Opcode::LoadI64:
-              iset(inst.dst, static_cast<int64_t>(mem_.load_u64(a32)));
-              break;
-            case Opcode::LoadF32:
-              f32set(inst.dst, std::bit_cast<float>(mem_.load_u32(a32)));
-              break;
-            case Opcode::LoadF64:
-              fset(inst.dst, std::bit_cast<double>(mem_.load_u64(a32)));
-              break;
-            case Opcode::LoadV128:
-              vset(inst.dst, mem_.load_v128(a32));
-              break;
-            default: break;
-          }
-          mark_load(inst);
-          break;
-        }
-        case Opcode::StoreI8:
-        case Opcode::StoreI16:
-        case Opcode::StoreI32:
-        case Opcode::StoreI64:
-        case Opcode::StoreF32:
-        case Opcode::StoreF64:
-        case Opcode::StoreV128: {
-          const uint64_t addr = static_cast<uint32_t>(i32get(inst.s0)) +
-                                static_cast<uint64_t>(inst.imm);
-          const uint32_t len = op_info(bc).mem_bytes;
-          if (!mem_.in_bounds(addr, len)) return TrapKind::OutOfBoundsMemory;
-          const auto a32 = static_cast<uint32_t>(addr);
-          sim_.stats_.stores += 1;
-          switch (bc) {
-            case Opcode::StoreI8:
-              mem_.store_u8(a32, static_cast<uint8_t>(i32get(inst.s1)));
-              break;
-            case Opcode::StoreI16:
-              mem_.store_u16(a32, static_cast<uint16_t>(i32get(inst.s1)));
-              break;
-            case Opcode::StoreI32:
-              mem_.store_u32(a32, static_cast<uint32_t>(i32get(inst.s1)));
-              break;
-            case Opcode::StoreI64:
-              mem_.store_u64(a32, static_cast<uint64_t>(iget(inst.s1)));
-              break;
-            case Opcode::StoreF32:
-              mem_.store_u32(a32, std::bit_cast<uint32_t>(f32get(inst.s1)));
-              break;
-            case Opcode::StoreF64:
-              mem_.store_u64(a32, std::bit_cast<uint64_t>(fget(inst.s1)));
-              break;
-            case Opcode::StoreV128:
-              mem_.store_v128(a32, vget(inst.s1));
-              break;
-            default: break;
-          }
-          break;
-        }
-
-        // Vector ops (only selected on has_simd targets; semantics shared
-        // with the interpreter definitions).
-        case Opcode::VZero: vset(inst.dst, V128{}); break;
-        case Opcode::VSplatI8:
-          vset(inst.dst, V128::splat_u8(static_cast<uint8_t>(i32get(inst.s0))));
-          break;
-        case Opcode::VSplatI16:
-          vset(inst.dst,
-               V128::splat_u16(static_cast<uint16_t>(i32get(inst.s0))));
-          break;
-        case Opcode::VSplatI32:
-          vset(inst.dst,
-               V128::splat_u32(static_cast<uint32_t>(i32get(inst.s0))));
-          break;
-        case Opcode::VSplatF32:
-          vset(inst.dst, V128::splat_f32(f32get(inst.s0)));
-          break;
-
-        case Opcode::VAddI8:
-        case Opcode::VSubI8:
-        case Opcode::VMinU8:
-        case Opcode::VMaxU8: {
-          const V128& a = vget(inst.s0);
-          const V128& b = vget(inst.s1);
-          V128 r;
-          for (size_t i = 0; i < 16; ++i) {
-            const uint8_t x = a.u8(i), y = b.u8(i);
-            uint8_t o = 0;
-            switch (bc) {
-              case Opcode::VAddI8: o = static_cast<uint8_t>(x + y); break;
-              case Opcode::VSubI8: o = static_cast<uint8_t>(x - y); break;
-              case Opcode::VMinU8: o = std::min(x, y); break;
-              case Opcode::VMaxU8: o = std::max(x, y); break;
-              default: break;
-            }
-            r.set_u8(i, o);
-          }
-          vset(inst.dst, r);
-          break;
-        }
-        case Opcode::VAddI16:
-        case Opcode::VSubI16:
-        case Opcode::VMinU16:
-        case Opcode::VMaxU16: {
-          const V128& a = vget(inst.s0);
-          const V128& b = vget(inst.s1);
-          V128 r;
-          for (size_t i = 0; i < 8; ++i) {
-            const uint16_t x = a.u16(i), y = b.u16(i);
-            uint16_t o = 0;
-            switch (bc) {
-              case Opcode::VAddI16: o = static_cast<uint16_t>(x + y); break;
-              case Opcode::VSubI16: o = static_cast<uint16_t>(x - y); break;
-              case Opcode::VMinU16: o = std::min(x, y); break;
-              case Opcode::VMaxU16: o = std::max(x, y); break;
-              default: break;
-            }
-            r.set_u16(i, o);
-          }
-          vset(inst.dst, r);
-          break;
-        }
-        case Opcode::VAddI32:
-        case Opcode::VSubI32:
-        case Opcode::VMulI32:
-        case Opcode::VMinSI32:
-        case Opcode::VMaxSI32: {
-          const V128& a = vget(inst.s0);
-          const V128& b = vget(inst.s1);
-          V128 r;
-          for (size_t i = 0; i < 4; ++i) {
-            const uint32_t x = a.u32(i), y = b.u32(i);
-            const auto xs = static_cast<int32_t>(x);
-            const auto ys = static_cast<int32_t>(y);
-            uint32_t o = 0;
-            switch (bc) {
-              case Opcode::VAddI32: o = x + y; break;
-              case Opcode::VSubI32: o = x - y; break;
-              case Opcode::VMulI32: o = x * y; break;
-              case Opcode::VMinSI32:
-                o = static_cast<uint32_t>(std::min(xs, ys));
-                break;
-              case Opcode::VMaxSI32:
-                o = static_cast<uint32_t>(std::max(xs, ys));
-                break;
-              default: break;
-            }
-            r.set_u32(i, o);
-          }
-          vset(inst.dst, r);
-          break;
-        }
-        case Opcode::VAddF32:
-        case Opcode::VSubF32:
-        case Opcode::VMulF32:
-        case Opcode::VDivF32:
-        case Opcode::VMinF32:
-        case Opcode::VMaxF32: {
-          const V128& a = vget(inst.s0);
-          const V128& b = vget(inst.s1);
-          V128 r;
-          for (size_t i = 0; i < 4; ++i) {
-            const float x = a.f32(i), y = b.f32(i);
-            float o = 0;
-            switch (bc) {
-              case Opcode::VAddF32: o = x + y; break;
-              case Opcode::VSubF32: o = x - y; break;
-              case Opcode::VMulF32: o = x * y; break;
-              case Opcode::VDivF32: o = x / y; break;
-              case Opcode::VMinF32: o = std::fmin(x, y); break;
-              case Opcode::VMaxF32: o = std::fmax(x, y); break;
-              default: break;
-            }
-            r.set_f32(i, o);
-          }
-          vset(inst.dst, r);
-          break;
-        }
-        case Opcode::VAnd:
-        case Opcode::VOr:
-        case Opcode::VXor: {
-          const V128& a = vget(inst.s0);
-          const V128& b = vget(inst.s1);
-          V128 r;
-          for (size_t i = 0; i < 16; ++i) {
-            uint8_t o = 0;
-            switch (bc) {
-              case Opcode::VAnd: o = a.u8(i) & b.u8(i); break;
-              case Opcode::VOr: o = a.u8(i) | b.u8(i); break;
-              case Opcode::VXor: o = a.u8(i) ^ b.u8(i); break;
-              default: break;
-            }
-            r.set_u8(i, o);
-          }
-          vset(inst.dst, r);
-          break;
-        }
-        case Opcode::VRSumU8: {
-          const V128& a = vget(inst.s0);
-          int32_t s = 0;
-          for (size_t i = 0; i < 16; ++i) s += a.u8(i);
-          i32set(inst.dst, s);
-          break;
-        }
-        case Opcode::VRSumU16: {
-          const V128& a = vget(inst.s0);
-          int32_t s = 0;
-          for (size_t i = 0; i < 8; ++i) s += a.u16(i);
-          i32set(inst.dst, s);
-          break;
-        }
-        case Opcode::VRSumI32: {
-          const V128& a = vget(inst.s0);
-          uint32_t s = 0;
-          for (size_t i = 0; i < 4; ++i) s += a.u32(i);
-          i32set(inst.dst, static_cast<int32_t>(s));
-          break;
-        }
-        case Opcode::VRSumF32: {
-          const V128& a = vget(inst.s0);
-          f32set(inst.dst, (a.f32(0) + a.f32(1)) + (a.f32(2) + a.f32(3)));
-          break;
-        }
-        case Opcode::VRMaxU8: {
-          const V128& a = vget(inst.s0);
-          uint8_t m = 0;
-          for (size_t i = 0; i < 16; ++i) m = std::max(m, a.u8(i));
-          i32set(inst.dst, m);
-          break;
-        }
-        case Opcode::VRMinU8: {
-          const V128& a = vget(inst.s0);
-          uint8_t m = 0xff;
-          for (size_t i = 0; i < 16; ++i) m = std::min(m, a.u8(i));
-          i32set(inst.dst, m);
-          break;
-        }
-        case Opcode::VRMaxU16: {
-          const V128& a = vget(inst.s0);
-          uint16_t m = 0;
-          for (size_t i = 0; i < 8; ++i) m = std::max(m, a.u16(i));
-          i32set(inst.dst, m);
-          break;
-        }
-        case Opcode::VRMaxSI32: {
-          const V128& a = vget(inst.s0);
-          int32_t m = std::numeric_limits<int32_t>::min();
-          for (size_t i = 0; i < 4; ++i) {
-            m = std::max(m, static_cast<int32_t>(a.u32(i)));
-          }
-          i32set(inst.dst, m);
-          break;
-        }
-        case Opcode::VRMaxF32: {
-          const V128& a = vget(inst.s0);
-          float m = a.f32(0);
-          for (size_t i = 1; i < 4; ++i) m = std::fmax(m, a.f32(i));
-          f32set(inst.dst, m);
-          break;
-        }
-        case Opcode::VRMinF32: {
-          const V128& a = vget(inst.s0);
-          float m = a.f32(0);
-          for (size_t i = 1; i < 4; ++i) m = std::fmin(m, a.f32(i));
-          f32set(inst.dst, m);
-          break;
-        }
-        case Opcode::VExtractU8:
-          i32set(inst.dst, vget(inst.s0).u8(inst.a));
-          break;
-        case Opcode::VExtractU16:
-          i32set(inst.dst, vget(inst.s0).u16(inst.a));
-          break;
-        case Opcode::VExtractI32:
-          i32set(inst.dst, static_cast<int32_t>(vget(inst.s0).u32(inst.a)));
-          break;
-        case Opcode::VExtractF32:
-          f32set(inst.dst, vget(inst.s0).f32(inst.a));
-          break;
-        case Opcode::VInsertI8: {
-          V128 r = vget(inst.s0);
-          r.set_u8(inst.a, static_cast<uint8_t>(i32get(inst.s1)));
-          vset(inst.dst, r);
-          break;
-        }
-        case Opcode::VInsertI16: {
-          V128 r = vget(inst.s0);
-          r.set_u16(inst.a, static_cast<uint16_t>(i32get(inst.s1)));
-          vset(inst.dst, r);
-          break;
-        }
-        case Opcode::VInsertI32: {
-          V128 r = vget(inst.s0);
-          r.set_u32(inst.a, static_cast<uint32_t>(i32get(inst.s1)));
-          vset(inst.dst, r);
-          break;
-        }
-        case Opcode::VInsertF32: {
-          V128 r = vget(inst.s0);
-          r.set_f32(inst.a, f32get(inst.s1));
-          vset(inst.dst, r);
-          break;
-        }
+        // Value opcodes (vm/semantics.h) in three-address form.
+#define SVC_VALUE_CASE(Name)                                    \
+  case Opcode::Name:                                            \
+    if (const TrapKind t = apply<&sem::Name>(inst);             \
+        t != TrapKind::None) {                                  \
+      return t;                                                 \
+    }                                                           \
+    break;
+#define SVC_OP(Name, mnemonic, pops, pushes, imm, category, lanes, membytes) \
+  SVC_SEM_##category(SVC_VALUE_CASE, Name)
+#include "bytecode/opcodes.def"
+#undef SVC_OP
+#undef SVC_VALUE_CASE
 
         // Control.
         case Opcode::Jump:

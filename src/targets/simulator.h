@@ -11,8 +11,9 @@
 //   + mispredict_penalty when the 2-bit saturating per-site predictor
 //     gets a conditional branch wrong.
 //
-// Functional semantics match the reference interpreter bit-for-bit; the
-// differential test suite enforces this on random programs.
+// Functional semantics are the value-opcode definitions of vm/semantics.h,
+// the same ones tier 0 runs; the differential test suite enforces
+// bit-identity on random programs.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,7 @@
 #include <vector>
 
 #include "targets/machine.h"
-#include "vm/interpreter.h"  // TrapKind
+#include "vm/interpreter.h"  // TrapKind, kMaxCallDepth
 #include "vm/memory.h"
 
 namespace svc {

@@ -1,14 +1,15 @@
 // The threaded-dispatch tier-0 engine: a computed-goto loop (GCC/Clang
 // &&label tables) over pre-decoded code streams (vm/predecode.h).
 //
-// Semantics are defined by the switch engine in vm/interpreter.cpp; this
-// file is an execution strategy, not a second implementation of meaning.
-// Every opcode body below mirrors its FrameExecutor::step() case
-// bit-for-bit (float behavior included), traps are identical, the step
-// budget is charged per *original* instruction (fused ops carry their
-// expansion length in PInst::steps), and the profiling instantiation
-// records exactly the oracle's event stream. tests/dispatch_test.cpp
-// differential-tests all of this per opcode and per fused pattern.
+// Opcode meaning lives in vm/semantics.h; this file is an execution
+// strategy. Every value opcode's label is generated from opcodes.def and
+// runs the shared definition on stack slots, and the fused handlers call
+// the same definitions on locals and immediates. Traps come from the
+// same definitions, the step budget is charged per *original*
+// instruction (fused ops carry their expansion length in PInst::steps),
+// and the profiling instantiation records exactly the switch engine's
+// event stream. tests/dispatch_test.cpp differential-tests all of this
+// per opcode and per fused pattern.
 //
 // Layout of one frame: a single contiguous Value buffer of
 // num_locals + max_stack slots; locals at the bottom, the operand stack
@@ -24,8 +25,6 @@
 // even a null check -- so tier-0 steady state pays nothing for the
 // collector machinery.
 
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "support/diagnostics.h"
@@ -191,817 +190,25 @@ L_LocalSet:
   locals[ip->a] = POP();
   NEXT();
 
-  // --- i32 arithmetic ---------------------------------------------------
-L_AddI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  PUSH_I32(static_cast<int32_t>(static_cast<uint32_t>(a) +
-                                static_cast<uint32_t>(b)));
-}
-  NEXT();
-L_SubI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  PUSH_I32(static_cast<int32_t>(static_cast<uint32_t>(a) -
-                                static_cast<uint32_t>(b)));
-}
-  NEXT();
-L_MulI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  PUSH_I32(static_cast<int32_t>(static_cast<uint32_t>(a) *
-                                static_cast<uint32_t>(b)));
-}
-  NEXT();
-L_DivSI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  if (b == 0) TRAP(DivideByZero);
-  if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-    TRAP(IntegerOverflow);
-  }
-  PUSH_I32(a / b);
-}
-  NEXT();
-L_DivUI32: {
-  const auto b = static_cast<uint32_t>(POP().i32);
-  const auto a = static_cast<uint32_t>(POP().i32);
-  if (b == 0) TRAP(DivideByZero);
-  PUSH_I32(static_cast<int32_t>(a / b));
-}
-  NEXT();
-L_RemSI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  if (b == 0) TRAP(DivideByZero);
-  if (a == std::numeric_limits<int32_t>::min() && b == -1) {
-    PUSH_I32(0);
-  } else {
-    PUSH_I32(a % b);
-  }
-}
-  NEXT();
-L_RemUI32: {
-  const auto b = static_cast<uint32_t>(POP().i32);
-  const auto a = static_cast<uint32_t>(POP().i32);
-  if (b == 0) TRAP(DivideByZero);
-  PUSH_I32(static_cast<int32_t>(a % b));
-}
-  NEXT();
-L_AndI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 & b);
-}
-  NEXT();
-L_OrI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 | b);
-}
-  NEXT();
-L_XorI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 ^ b);
-}
-  NEXT();
-L_ShlI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  PUSH_I32(static_cast<int32_t>(static_cast<uint32_t>(a) << (b & 31)));
-}
-  NEXT();
-L_ShrSI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  PUSH_I32(a >> (b & 31));
-}
-  NEXT();
-L_ShrUI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  PUSH_I32(static_cast<int32_t>(static_cast<uint32_t>(a) >> (b & 31)));
-}
-  NEXT();
-L_MinSI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  PUSH_I32(a < b ? a : b);
-}
-  NEXT();
-L_MaxSI32: {
-  const int32_t b = POP().i32;
-  const int32_t a = POP().i32;
-  PUSH_I32(a > b ? a : b);
-}
-  NEXT();
-L_MinUI32: {
-  const auto b = static_cast<uint32_t>(POP().i32);
-  const auto a = static_cast<uint32_t>(POP().i32);
-  PUSH_I32(static_cast<int32_t>(a < b ? a : b));
-}
-  NEXT();
-L_MaxUI32: {
-  const auto b = static_cast<uint32_t>(POP().i32);
-  const auto a = static_cast<uint32_t>(POP().i32);
-  PUSH_I32(static_cast<int32_t>(a > b ? a : b));
-}
-  NEXT();
-L_EqzI32:
-  PUSH_I32(POP().i32 == 0 ? 1 : 0);
-  NEXT();
-
-  // --- i32 comparisons --------------------------------------------------
-L_EqI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 == b);
-}
-  NEXT();
-L_NeI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 != b);
-}
-  NEXT();
-L_LtSI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 < b);
-}
-  NEXT();
-L_LtUI32: {
-  const auto b = static_cast<uint32_t>(POP().i32);
-  PUSH_I32(static_cast<uint32_t>(POP().i32) < b);
-}
-  NEXT();
-L_LeSI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 <= b);
-}
-  NEXT();
-L_LeUI32: {
-  const auto b = static_cast<uint32_t>(POP().i32);
-  PUSH_I32(static_cast<uint32_t>(POP().i32) <= b);
-}
-  NEXT();
-L_GtSI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 > b);
-}
-  NEXT();
-L_GtUI32: {
-  const auto b = static_cast<uint32_t>(POP().i32);
-  PUSH_I32(static_cast<uint32_t>(POP().i32) > b);
-}
-  NEXT();
-L_GeSI32: {
-  const int32_t b = POP().i32;
-  PUSH_I32(POP().i32 >= b);
-}
-  NEXT();
-L_GeUI32: {
-  const auto b = static_cast<uint32_t>(POP().i32);
-  PUSH_I32(static_cast<uint32_t>(POP().i32) >= b);
-}
-  NEXT();
-
-  // --- i64 --------------------------------------------------------------
-L_AddI64: {
-  const int64_t b = POP().i64;
-  const int64_t a = POP().i64;
-  PUSH(Value::make_i64(static_cast<int64_t>(static_cast<uint64_t>(a) +
-                                            static_cast<uint64_t>(b))));
-}
-  NEXT();
-L_SubI64: {
-  const int64_t b = POP().i64;
-  const int64_t a = POP().i64;
-  PUSH(Value::make_i64(static_cast<int64_t>(static_cast<uint64_t>(a) -
-                                            static_cast<uint64_t>(b))));
-}
-  NEXT();
-L_MulI64: {
-  const int64_t b = POP().i64;
-  const int64_t a = POP().i64;
-  PUSH(Value::make_i64(static_cast<int64_t>(static_cast<uint64_t>(a) *
-                                            static_cast<uint64_t>(b))));
-}
-  NEXT();
-L_DivSI64: {
-  const int64_t b = POP().i64;
-  const int64_t a = POP().i64;
-  if (b == 0) TRAP(DivideByZero);
-  if (a == std::numeric_limits<int64_t>::min() && b == -1) {
-    TRAP(IntegerOverflow);
-  }
-  PUSH(Value::make_i64(a / b));
-}
-  NEXT();
-L_AndI64: {
-  const int64_t b = POP().i64;
-  PUSH(Value::make_i64(POP().i64 & b));
-}
-  NEXT();
-L_OrI64: {
-  const int64_t b = POP().i64;
-  PUSH(Value::make_i64(POP().i64 | b));
-}
-  NEXT();
-L_XorI64: {
-  const int64_t b = POP().i64;
-  PUSH(Value::make_i64(POP().i64 ^ b));
-}
-  NEXT();
-L_ShlI64: {
-  const int64_t b = POP().i64;
-  const int64_t a = POP().i64;
-  PUSH(Value::make_i64(
-      static_cast<int64_t>(static_cast<uint64_t>(a) << (b & 63))));
-}
-  NEXT();
-L_ShrSI64: {
-  const int64_t b = POP().i64;
-  const int64_t a = POP().i64;
-  PUSH(Value::make_i64(a >> (b & 63)));
-}
-  NEXT();
-L_ShrUI64: {
-  const int64_t b = POP().i64;
-  const int64_t a = POP().i64;
-  PUSH(Value::make_i64(
-      static_cast<int64_t>(static_cast<uint64_t>(a) >> (b & 63))));
-}
-  NEXT();
-L_EqI64: {
-  const int64_t b = POP().i64;
-  PUSH_I32(POP().i64 == b);
-}
-  NEXT();
-L_NeI64: {
-  const int64_t b = POP().i64;
-  PUSH_I32(POP().i64 != b);
-}
-  NEXT();
-L_LtSI64: {
-  const int64_t b = POP().i64;
-  PUSH_I32(POP().i64 < b);
-}
-  NEXT();
-L_GtSI64: {
-  const int64_t b = POP().i64;
-  PUSH_I32(POP().i64 > b);
-}
-  NEXT();
-
-  // --- f32 --------------------------------------------------------------
-L_AddF32: {
-  const float b = POP().f32;
-  PUSH_F32(POP().f32 + b);
-}
-  NEXT();
-L_SubF32: {
-  const float b = POP().f32;
-  PUSH_F32(POP().f32 - b);
-}
-  NEXT();
-L_MulF32: {
-  const float b = POP().f32;
-  PUSH_F32(POP().f32 * b);
-}
-  NEXT();
-L_DivF32: {
-  const float b = POP().f32;
-  PUSH_F32(POP().f32 / b);
-}
-  NEXT();
-L_MinF32: {
-  const float b = POP().f32;
-  PUSH_F32(detail::fmin32(POP().f32, b));
-}
-  NEXT();
-L_MaxF32: {
-  const float b = POP().f32;
-  PUSH_F32(detail::fmax32(POP().f32, b));
-}
-  NEXT();
-L_NegF32:
-  PUSH_F32(-POP().f32);
-  NEXT();
-L_AbsF32:
-  PUSH_F32(std::fabs(POP().f32));
-  NEXT();
-L_SqrtF32:
-  PUSH_F32(std::sqrt(POP().f32));
-  NEXT();
-L_EqF32: {
-  const float b = POP().f32;
-  PUSH_I32(POP().f32 == b);
-}
-  NEXT();
-L_NeF32: {
-  const float b = POP().f32;
-  PUSH_I32(POP().f32 != b);
-}
-  NEXT();
-L_LtF32: {
-  const float b = POP().f32;
-  PUSH_I32(POP().f32 < b);
-}
-  NEXT();
-L_LeF32: {
-  const float b = POP().f32;
-  PUSH_I32(POP().f32 <= b);
-}
-  NEXT();
-L_GtF32: {
-  const float b = POP().f32;
-  PUSH_I32(POP().f32 > b);
-}
-  NEXT();
-L_GeF32: {
-  const float b = POP().f32;
-  PUSH_I32(POP().f32 >= b);
-}
-  NEXT();
-
-  // --- f64 --------------------------------------------------------------
-L_AddF64: {
-  const double b = POP().f64;
-  PUSH(Value::make_f64(POP().f64 + b));
-}
-  NEXT();
-L_SubF64: {
-  const double b = POP().f64;
-  PUSH(Value::make_f64(POP().f64 - b));
-}
-  NEXT();
-L_MulF64: {
-  const double b = POP().f64;
-  PUSH(Value::make_f64(POP().f64 * b));
-}
-  NEXT();
-L_DivF64: {
-  const double b = POP().f64;
-  PUSH(Value::make_f64(POP().f64 / b));
-}
-  NEXT();
-L_MinF64: {
-  const double b = POP().f64;
-  PUSH(Value::make_f64(detail::fmin64(POP().f64, b)));
-}
-  NEXT();
-L_MaxF64: {
-  const double b = POP().f64;
-  PUSH(Value::make_f64(detail::fmax64(POP().f64, b)));
-}
-  NEXT();
-L_NegF64:
-  PUSH(Value::make_f64(-POP().f64));
-  NEXT();
-L_SqrtF64:
-  PUSH(Value::make_f64(std::sqrt(POP().f64)));
-  NEXT();
-L_EqF64: {
-  const double b = POP().f64;
-  PUSH_I32(POP().f64 == b);
-}
-  NEXT();
-L_NeF64: {
-  const double b = POP().f64;
-  PUSH_I32(POP().f64 != b);
-}
-  NEXT();
-L_LtF64: {
-  const double b = POP().f64;
-  PUSH_I32(POP().f64 < b);
-}
-  NEXT();
-L_LeF64: {
-  const double b = POP().f64;
-  PUSH_I32(POP().f64 <= b);
-}
-  NEXT();
-L_GtF64: {
-  const double b = POP().f64;
-  PUSH_I32(POP().f64 > b);
-}
-  NEXT();
-L_GeF64: {
-  const double b = POP().f64;
-  PUSH_I32(POP().f64 >= b);
-}
-  NEXT();
-
-  // --- selects ----------------------------------------------------------
-L_SelectI32:
-L_SelectI64:
-L_SelectF32:
-L_SelectF64: {
-  const int32_t cond = POP().i32;
-  const Value b = POP();
-  const Value a = POP();
-  PUSH(cond != 0 ? a : b);
-}
-  NEXT();
-
-  // --- conversions ------------------------------------------------------
-L_I32ToI64S:
-  PUSH(Value::make_i64(POP().i32));
-  NEXT();
-L_I32ToI64U:
-  PUSH(Value::make_i64(static_cast<uint32_t>(POP().i32)));
-  NEXT();
-L_I64ToI32:
-  PUSH_I32(static_cast<int32_t>(POP().i64));
-  NEXT();
-L_I32ToF32S:
-  PUSH_F32(static_cast<float>(POP().i32));
-  NEXT();
-L_F32ToI32S:
-  PUSH_I32(static_cast<int32_t>(POP().f32));
-  NEXT();
-L_I32ToF64S:
-  PUSH(Value::make_f64(POP().i32));
-  NEXT();
-L_F64ToI32S:
-  PUSH_I32(static_cast<int32_t>(POP().f64));
-  NEXT();
-L_F32ToF64:
-  PUSH(Value::make_f64(POP().f32));
-  NEXT();
-L_F64ToF32:
-  PUSH_F32(static_cast<float>(POP().f64));
-  NEXT();
-L_I64ToF64S:
-  PUSH(Value::make_f64(static_cast<double>(POP().i64)));
-  NEXT();
-L_F64ToI64S:
-  PUSH(Value::make_i64(static_cast<int64_t>(POP().f64)));
-  NEXT();
-
-  // --- memory -----------------------------------------------------------
-#define LOAD_ADDR(len)                                             \
-  const uint64_t addr = static_cast<uint32_t>(POP().i32) +         \
-                        static_cast<uint64_t>(ip->imm);            \
-  if (!mem.in_bounds(addr, (len))) TRAP(OutOfBoundsMemory);        \
-  const auto a32 = static_cast<uint32_t>(addr)
-
-L_LoadI8U: {
-  LOAD_ADDR(1);
-  PUSH_I32(mem.load_u8(a32));
-}
-  NEXT();
-L_LoadI8S: {
-  LOAD_ADDR(1);
-  PUSH_I32(static_cast<int8_t>(mem.load_u8(a32)));
-}
-  NEXT();
-L_LoadI16U: {
-  LOAD_ADDR(2);
-  PUSH_I32(mem.load_u16(a32));
-}
-  NEXT();
-L_LoadI16S: {
-  LOAD_ADDR(2);
-  PUSH_I32(static_cast<int16_t>(mem.load_u16(a32)));
-}
-  NEXT();
-L_LoadI32: {
-  LOAD_ADDR(4);
-  PUSH_I32(static_cast<int32_t>(mem.load_u32(a32)));
-}
-  NEXT();
-L_LoadI64: {
-  LOAD_ADDR(8);
-  PUSH(Value::make_i64(static_cast<int64_t>(mem.load_u64(a32))));
-}
-  NEXT();
-L_LoadF32: {
-  LOAD_ADDR(4);
-  PUSH_F32(std::bit_cast<float>(mem.load_u32(a32)));
-}
-  NEXT();
-L_LoadF64: {
-  LOAD_ADDR(8);
-  PUSH(Value::make_f64(std::bit_cast<double>(mem.load_u64(a32))));
-}
-  NEXT();
-L_LoadV128: {
-  LOAD_ADDR(16);
-  PUSH(Value::make_v128(mem.load_v128(a32)));
-}
-  NEXT();
-#undef LOAD_ADDR
-
-#define STORE_ADDR(len)                                            \
-  const Value v = POP();                                           \
-  const uint64_t addr = static_cast<uint32_t>(POP().i32) +         \
-                        static_cast<uint64_t>(ip->imm);            \
-  if (!mem.in_bounds(addr, (len))) TRAP(OutOfBoundsMemory);        \
-  const auto a32 = static_cast<uint32_t>(addr)
-
-L_StoreI8: {
-  STORE_ADDR(1);
-  mem.store_u8(a32, static_cast<uint8_t>(v.i32));
-}
-  NEXT();
-L_StoreI16: {
-  STORE_ADDR(2);
-  mem.store_u16(a32, static_cast<uint16_t>(v.i32));
-}
-  NEXT();
-L_StoreI32: {
-  STORE_ADDR(4);
-  mem.store_u32(a32, static_cast<uint32_t>(v.i32));
-}
-  NEXT();
-L_StoreI64: {
-  STORE_ADDR(8);
-  mem.store_u64(a32, static_cast<uint64_t>(v.i64));
-}
-  NEXT();
-L_StoreF32: {
-  STORE_ADDR(4);
-  mem.store_u32(a32, std::bit_cast<uint32_t>(v.f32));
-}
-  NEXT();
-L_StoreF64: {
-  STORE_ADDR(8);
-  mem.store_u64(a32, std::bit_cast<uint64_t>(v.f64));
-}
-  NEXT();
-L_StoreV128: {
-  STORE_ADDR(16);
-  mem.store_v128(a32, v.v128);
-}
-  NEXT();
-#undef STORE_ADDR
-
-  // --- vector -----------------------------------------------------------
-L_VZero:
-  PUSH(Value::make_v128(V128{}));
-  NEXT();
-L_VSplatI8:
-  PUSH(Value::make_v128(V128::splat_u8(static_cast<uint8_t>(POP().i32))));
-  NEXT();
-L_VSplatI16:
-  PUSH(Value::make_v128(V128::splat_u16(static_cast<uint16_t>(POP().i32))));
-  NEXT();
-L_VSplatI32:
-  PUSH(Value::make_v128(V128::splat_u32(static_cast<uint32_t>(POP().i32))));
-  NEXT();
-L_VSplatF32:
-  PUSH(Value::make_v128(V128::splat_f32(POP().f32)));
-  NEXT();
-
-#define VBIN_U8(expr)                          \
-  const V128 vb = POP().v128;                  \
-  const V128 va = POP().v128;                  \
-  V128 r;                                      \
-  for (size_t i = 0; i < 16; ++i) {            \
-    const uint8_t x = va.u8(i), y = vb.u8(i);  \
-    r.set_u8(i, (expr));                       \
-  }                                            \
-  PUSH(Value::make_v128(r))
-
-L_VAddI8: {
-  VBIN_U8(static_cast<uint8_t>(x + y));
-}
-  NEXT();
-L_VSubI8: {
-  VBIN_U8(static_cast<uint8_t>(x - y));
-}
-  NEXT();
-L_VMinU8: {
-  VBIN_U8(x < y ? x : y);
-}
-  NEXT();
-L_VMaxU8: {
-  VBIN_U8(x > y ? x : y);
-}
-  NEXT();
-
-#define VBIN_U16(expr)                           \
-  const V128 vb = POP().v128;                    \
-  const V128 va = POP().v128;                    \
-  V128 r;                                        \
-  for (size_t i = 0; i < 8; ++i) {               \
-    const uint16_t x = va.u16(i), y = vb.u16(i); \
-    r.set_u16(i, (expr));                        \
-  }                                              \
-  PUSH(Value::make_v128(r))
-
-L_VAddI16: {
-  VBIN_U16(static_cast<uint16_t>(x + y));
-}
-  NEXT();
-L_VSubI16: {
-  VBIN_U16(static_cast<uint16_t>(x - y));
-}
-  NEXT();
-L_VMinU16: {
-  VBIN_U16(x < y ? x : y);
-}
-  NEXT();
-L_VMaxU16: {
-  VBIN_U16(x > y ? x : y);
-}
-  NEXT();
-
-#define VBIN_U32(expr)                               \
-  const V128 vb = POP().v128;                        \
-  const V128 va = POP().v128;                        \
-  V128 r;                                            \
-  for (size_t i = 0; i < 4; ++i) {                   \
-    const uint32_t x = va.u32(i), y = vb.u32(i);     \
-    const int32_t xs = static_cast<int32_t>(x);      \
-    const int32_t ys = static_cast<int32_t>(y);      \
-    (void)xs;                                        \
-    (void)ys;                                        \
-    r.set_u32(i, (expr));                            \
-  }                                                  \
-  PUSH(Value::make_v128(r))
-
-L_VAddI32: {
-  VBIN_U32(x + y);
-}
-  NEXT();
-L_VSubI32: {
-  VBIN_U32(x - y);
-}
-  NEXT();
-L_VMulI32: {
-  VBIN_U32(x * y);
-}
-  NEXT();
-L_VMinSI32: {
-  VBIN_U32(static_cast<uint32_t>(xs < ys ? xs : ys));
-}
-  NEXT();
-L_VMaxSI32: {
-  VBIN_U32(static_cast<uint32_t>(xs > ys ? xs : ys));
-}
-  NEXT();
-
-#define VBIN_F32(expr)                           \
-  const V128 vb = POP().v128;                    \
-  const V128 va = POP().v128;                    \
-  V128 r;                                        \
-  for (size_t i = 0; i < 4; ++i) {               \
-    const float x = va.f32(i), y = vb.f32(i);    \
-    r.set_f32(i, (expr));                        \
-  }                                              \
-  PUSH(Value::make_v128(r))
-
-L_VAddF32: {
-  VBIN_F32(x + y);
-}
-  NEXT();
-L_VSubF32: {
-  VBIN_F32(x - y);
-}
-  NEXT();
-L_VMulF32: {
-  VBIN_F32(x * y);
-}
-  NEXT();
-L_VDivF32: {
-  VBIN_F32(x / y);
-}
-  NEXT();
-L_VMinF32: {
-  VBIN_F32(detail::fmin32(x, y));
-}
-  NEXT();
-L_VMaxF32: {
-  VBIN_F32(detail::fmax32(x, y));
-}
-  NEXT();
-L_VAnd: {
-  VBIN_U8(static_cast<uint8_t>(x & y));
-}
-  NEXT();
-L_VOr: {
-  VBIN_U8(static_cast<uint8_t>(x | y));
-}
-  NEXT();
-L_VXor: {
-  VBIN_U8(static_cast<uint8_t>(x ^ y));
-}
-  NEXT();
-#undef VBIN_U8
-#undef VBIN_U16
-#undef VBIN_U32
-#undef VBIN_F32
-
-L_VRSumU8: {
-  const V128 a = POP().v128;
-  int32_t s = 0;
-  for (size_t i = 0; i < 16; ++i) s += a.u8(i);
-  PUSH_I32(s);
-}
-  NEXT();
-L_VRSumU16: {
-  const V128 a = POP().v128;
-  int32_t s = 0;
-  for (size_t i = 0; i < 8; ++i) s += a.u16(i);
-  PUSH_I32(s);
-}
-  NEXT();
-L_VRSumI32: {
-  const V128 a = POP().v128;
-  uint32_t s = 0;
-  for (size_t i = 0; i < 4; ++i) s += a.u32(i);
-  PUSH_I32(static_cast<int32_t>(s));
-}
-  NEXT();
-L_VRSumF32: {
-  const V128 a = POP().v128;
-  // Pairwise reduction order, matching the oracle and SIMD targets.
-  PUSH_F32((a.f32(0) + a.f32(1)) + (a.f32(2) + a.f32(3)));
-}
-  NEXT();
-L_VRMaxU8: {
-  const V128 a = POP().v128;
-  uint8_t m = 0;
-  for (size_t i = 0; i < 16; ++i) m = std::max(m, a.u8(i));
-  PUSH_I32(m);
-}
-  NEXT();
-L_VRMinU8: {
-  const V128 a = POP().v128;
-  uint8_t m = 0xff;
-  for (size_t i = 0; i < 16; ++i) m = std::min(m, a.u8(i));
-  PUSH_I32(m);
-}
-  NEXT();
-L_VRMaxU16: {
-  const V128 a = POP().v128;
-  uint16_t m = 0;
-  for (size_t i = 0; i < 8; ++i) m = std::max(m, a.u16(i));
-  PUSH_I32(m);
-}
-  NEXT();
-L_VRMaxSI32: {
-  const V128 a = POP().v128;
-  int32_t m = std::numeric_limits<int32_t>::min();
-  for (size_t i = 0; i < 4; ++i) {
-    m = std::max(m, static_cast<int32_t>(a.u32(i)));
-  }
-  PUSH_I32(m);
-}
-  NEXT();
-L_VRMaxF32: {
-  const V128 a = POP().v128;
-  float m = a.f32(0);
-  for (size_t i = 1; i < 4; ++i) m = detail::fmax32(m, a.f32(i));
-  PUSH_F32(m);
-}
-  NEXT();
-L_VRMinF32: {
-  const V128 a = POP().v128;
-  float m = a.f32(0);
-  for (size_t i = 1; i < 4; ++i) m = detail::fmin32(m, a.f32(i));
-  PUSH_F32(m);
-}
-  NEXT();
-
-L_VExtractU8:
-  PUSH_I32(POP().v128.u8(ip->a));
-  NEXT();
-L_VExtractU16:
-  PUSH_I32(POP().v128.u16(ip->a));
-  NEXT();
-L_VExtractI32:
-  PUSH_I32(static_cast<int32_t>(POP().v128.u32(ip->a)));
-  NEXT();
-L_VExtractF32:
-  PUSH_F32(POP().v128.f32(ip->a));
-  NEXT();
-L_VInsertI8: {
-  const int32_t v = POP().i32;
-  V128 r = POP().v128;
-  r.set_u8(ip->a, static_cast<uint8_t>(v));
-  PUSH(Value::make_v128(r));
-}
-  NEXT();
-L_VInsertI16: {
-  const int32_t v = POP().i32;
-  V128 r = POP().v128;
-  r.set_u16(ip->a, static_cast<uint16_t>(v));
-  PUSH(Value::make_v128(r));
-}
-  NEXT();
-L_VInsertI32: {
-  const int32_t v = POP().i32;
-  V128 r = POP().v128;
-  r.set_u32(ip->a, static_cast<uint32_t>(v));
-  PUSH(Value::make_v128(r));
-}
-  NEXT();
-L_VInsertF32: {
-  const float v = POP().f32;
-  V128 r = POP().v128;
-  r.set_f32(ip->a, v);
-  PUSH(Value::make_v128(r));
-}
-  NEXT();
+  // --- value opcodes (vm/semantics.h) -------------------------------------
+#define SVC_VALUE_LABEL(Name)                               \
+  L_##Name: {                                               \
+    using S = sem::SignatureOf<&sem::Name>;                 \
+    Value* const base = sp - S::kArity;                     \
+    sem::StackOperands ops{base, mem, ip->imm, ip->a};      \
+    const TrapKind t = sem::apply<&sem::Name>(ops);         \
+    if (t != TrapKind::None) {                              \
+      trap = t;                                             \
+      goto trapped;                                         \
+    }                                                       \
+    sp = base + (S::kHasResult ? 1 : 0);                    \
+  }                                                         \
+  NEXT();
+#define SVC_OP(Name, mnemonic, pops, pushes, imm, category, lanes, membytes) \
+  SVC_SEM_##category(SVC_VALUE_LABEL, Name)
+#include "bytecode/opcodes.def"
+#undef SVC_OP
+#undef SVC_VALUE_LABEL
 
   // --- control ----------------------------------------------------------
 L_Jump:
@@ -1049,24 +256,20 @@ L_Nop:
 
   // --- superinstructions (never present in profiling streams) -----------
 L_FGetGetAddI32:
-  PUSH_I32(static_cast<int32_t>(static_cast<uint32_t>(locals[ip->a].i32) +
-                                static_cast<uint32_t>(locals[ip->b].i32)));
+  PUSH_I32(sem::AddI32(locals[ip->a].i32, locals[ip->b].i32));
   NEXT();
 L_FGetGetAddF32:
-  PUSH_F32(locals[ip->a].f32 + locals[ip->b].f32);
+  PUSH_F32(sem::AddF32(locals[ip->a].f32, locals[ip->b].f32));
   NEXT();
 L_FGetGetMulF32:
-  PUSH_F32(locals[ip->a].f32 * locals[ip->b].f32);
+  PUSH_F32(sem::MulF32(locals[ip->a].f32, locals[ip->b].f32));
   NEXT();
 L_FGetConstAddI32:
-  PUSH_I32(static_cast<int32_t>(
-      static_cast<uint32_t>(locals[ip->a].i32) +
-      static_cast<uint32_t>(static_cast<int32_t>(ip->imm))));
+  PUSH_I32(sem::AddI32(locals[ip->a].i32, static_cast<int32_t>(ip->imm)));
   NEXT();
 L_FIncLocalI32:
-  locals[ip->b] = Value::make_i32(static_cast<int32_t>(
-      static_cast<uint32_t>(locals[ip->a].i32) +
-      static_cast<uint32_t>(static_cast<int32_t>(ip->imm))));
+  locals[ip->b] = Value::make_i32(
+      sem::AddI32(locals[ip->a].i32, static_cast<int32_t>(ip->imm)));
   NEXT();
 L_FConstI32Set:
   locals[ip->a] = Value::make_i32(static_cast<int32_t>(ip->imm));
@@ -1076,35 +279,35 @@ L_FGetSet:
   NEXT();
 L_FGetGetLtSBr: {
   const auto offs = static_cast<uint64_t>(ip->imm);
-  ip = code + (locals[ip->a].i32 < locals[ip->b].i32
+  ip = code + (sem::LtSI32(locals[ip->a].i32, locals[ip->b].i32)
                    ? static_cast<uint32_t>(offs)
                    : static_cast<uint32_t>(offs >> 32));
 }
   DISPATCH();
 L_FEqzI32Br:
-  ip = code + (POP().i32 == 0 ? ip->a : ip->b);
+  ip = code + (sem::EqzI32(POP().i32) ? ip->a : ip->b);
   DISPATCH();
-#define FCMP_BR(cmp)                           \
-  {                                            \
-    const int32_t b = POP().i32;               \
-    const int32_t a = POP().i32;               \
-    ip = code + ((cmp) ? ip->a : ip->b);       \
-  }                                            \
+#define FCMP_BR(Cmp)                                   \
+  {                                                    \
+    const int32_t b = POP().i32;                       \
+    const int32_t a = POP().i32;                       \
+    ip = code + (sem::Cmp(a, b) ? ip->a : ip->b);      \
+  }                                                    \
   DISPATCH()
 L_FEqI32Br:
-  FCMP_BR(a == b);
+  FCMP_BR(EqI32);
 L_FNeI32Br:
-  FCMP_BR(a != b);
+  FCMP_BR(NeI32);
 L_FLtSI32Br:
-  FCMP_BR(a < b);
+  FCMP_BR(LtSI32);
 L_FLtUI32Br:
-  FCMP_BR(static_cast<uint32_t>(a) < static_cast<uint32_t>(b));
+  FCMP_BR(LtUI32);
 L_FLeSI32Br:
-  FCMP_BR(a <= b);
+  FCMP_BR(LeSI32);
 L_FGtSI32Br:
-  FCMP_BR(a > b);
+  FCMP_BR(GtSI32);
 L_FGeSI32Br:
-  FCMP_BR(a >= b);
+  FCMP_BR(GeSI32);
 #undef FCMP_BR
 
 budget_trap:

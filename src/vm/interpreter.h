@@ -1,20 +1,22 @@
-// Tier-0 execution for SVIL, with two dispatch engines over the same
-// semantics:
+// Tier-0 execution for SVIL, with two dispatch engines over the one
+// definition of opcode semantics in vm/semantics.h:
 //
 //   * Switch: the reference interpreter -- a single switch over Opcode
 //     walking the original Function/BasicBlock structures. Deliberately
 //     simple and defensive; every JIT target and the threaded engine are
-//     differential-tested against it, and it is the portable fallback
-//     when SVC_THREADED_DISPATCH is configured OFF.
+//     differential-tested against it for dispatch, frames and stacks, and
+//     it is the portable fallback when SVC_THREADED_DISPATCH is
+//     configured OFF.
 //   * Threaded: the production tier-0 engine -- a computed-goto dispatch
 //     loop (GCC/Clang &&label tables) over pre-decoded code streams
 //     (vm/predecode.h) with superinstruction fusion. Typically several
 //     times faster; bit-identical results, traps, step counts and
 //     profiles by construction (tests/dispatch_test.cpp).
 //
-// Both engines bounds-check all memory accesses, trap on division by
-// zero and call-stack overflow, and honor a step budget that guards
-// against runaway loops in tests. See docs/INTERPRETER.md.
+// Both engines trap on call-stack overflow and honor a step budget that
+// guards against runaway loops in tests; the value opcodes' own traps
+// (memory bounds, division) come from vm/semantics.h. See
+// docs/INTERPRETER.md and docs/SEMANTICS.md.
 #pragma once
 
 #include <cstdint>
@@ -26,19 +28,10 @@
 #include "vm/memory.h"
 #include "vm/predecode.h"
 #include "vm/profile.h"
+#include "vm/semantics.h"
 #include "vm/value.h"
 
 namespace svc {
-
-enum class TrapKind : uint8_t {
-  None = 0,
-  OutOfBoundsMemory,
-  DivideByZero,
-  IntegerOverflow,
-  CallStackOverflow,
-  StepBudgetExceeded,
-  ExplicitTrap,
-};
 
 /// Deepest chain of nested guest calls before CallStackOverflow. The one
 /// limit for every engine -- the switch and threaded tier-0 engines and

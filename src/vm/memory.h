@@ -4,6 +4,7 @@
 // directly comparable, and by "DMA" transfers in the SoC model.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>

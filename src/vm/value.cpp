@@ -1,6 +1,7 @@
 #include "vm/value.h"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 namespace svc {
@@ -34,7 +35,7 @@ std::string Value::str() const {
       os << "v128[";
       for (size_t i = 0; i < 16; ++i) {
         if (i) os << ' ';
-        os << static_cast<int>(v128.u8(i));
+        os << static_cast<int>(v128.bytes[i]);
       }
       os << ']';
       break;

@@ -1,12 +1,11 @@
 // Runtime values for the interpreter and the host API. A Value is a typed
 // 128-bit-wide scalar-or-vector; V128 carries raw bytes whose lane
-// interpretation is chosen by each opcode (as on real SIMD register files).
+// interpretation is chosen by each opcode (as on real SIMD register files;
+// vm/semantics.h reads and writes the lanes).
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 
 #include "bytecode/type.h"
@@ -15,53 +14,6 @@ namespace svc {
 
 struct V128 {
   alignas(16) std::array<uint8_t, 16> bytes{};
-
-  [[nodiscard]] uint8_t u8(size_t lane) const { return bytes[lane]; }
-  void set_u8(size_t lane, uint8_t v) { bytes[lane] = v; }
-
-  [[nodiscard]] uint16_t u16(size_t lane) const {
-    uint16_t v;
-    std::memcpy(&v, bytes.data() + lane * 2, 2);
-    return v;
-  }
-  void set_u16(size_t lane, uint16_t v) {
-    std::memcpy(bytes.data() + lane * 2, &v, 2);
-  }
-
-  [[nodiscard]] uint32_t u32(size_t lane) const {
-    uint32_t v;
-    std::memcpy(&v, bytes.data() + lane * 4, 4);
-    return v;
-  }
-  void set_u32(size_t lane, uint32_t v) {
-    std::memcpy(bytes.data() + lane * 4, &v, 4);
-  }
-
-  [[nodiscard]] float f32(size_t lane) const {
-    return std::bit_cast<float>(u32(lane));
-  }
-  void set_f32(size_t lane, float v) {
-    set_u32(lane, std::bit_cast<uint32_t>(v));
-  }
-
-  static V128 splat_u8(uint8_t v) {
-    V128 r;
-    r.bytes.fill(v);
-    return r;
-  }
-  static V128 splat_u16(uint16_t v) {
-    V128 r;
-    for (size_t i = 0; i < 8; ++i) r.set_u16(i, v);
-    return r;
-  }
-  static V128 splat_u32(uint32_t v) {
-    V128 r;
-    for (size_t i = 0; i < 4; ++i) r.set_u32(i, v);
-    return r;
-  }
-  static V128 splat_f32(float v) {
-    return splat_u32(std::bit_cast<uint32_t>(v));
-  }
 
   friend bool operator==(const V128&, const V128&) = default;
 };
@@ -120,11 +72,12 @@ struct Value {
 
 namespace detail {
 
-// Float min/max shared by every tier-0 engine. std::fmin/fmax leave the
-// sign of a (+0, -0) result implementation-defined, so two engines
-// compiled in different translation units can legally disagree bit-wise;
-// routing both through these single out-of-line symbols pins the choice
-// once for the whole process (noinline so no TU re-specializes them).
+// Float min/max behind the min/max opcodes of vm/semantics.h.
+// std::fmin/fmax leave the sign of a (+0, -0) result
+// implementation-defined, so two engines compiled in different
+// translation units could legally disagree bit-wise; routing every
+// engine through these single out-of-line symbols pins the choice once
+// for the whole process (noinline so no TU re-specializes them).
 [[nodiscard, gnu::noinline]] float fmin32(float a, float b);
 [[nodiscard, gnu::noinline]] float fmax32(float a, float b);
 [[nodiscard, gnu::noinline]] double fmin64(double a, double b);

@@ -1,8 +1,7 @@
 // The embeddable API surface (api/svc.h): Builder validation, structured
 // diagnostics through Result<T>, ModuleHandle ownership, the
-// compile -> deploy -> profile -> recompile loop, the module-id cache
-// keying, and -- crucially -- bit-identity between the deprecated shims
-// (compile_source / compile_or_die / raw load()) and the facade path.
+// compile -> deploy -> profile -> recompile loop, and the module-id
+// cache keying.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -224,93 +223,6 @@ TEST(ModuleId, FreedModuleNeverAliasesCacheArtifacts) {
   EXPECT_EQ(cache.stats().get("cache.compiles"), 2);
   EXPECT_EQ(cache.stats().get("cache.hits"), 0);
 }
-
-// --- shim-vs-facade bit-identity --------------------------------------------
-
-// The deprecated entry points must stay exact synonyms of the facade:
-// same serialized modules, same simulation results, same cache counters.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ShimEquivalence, CompileSourceAndCompileOrDieMatchFacade) {
-  for (const KernelInfo& k : table1_kernels()) {
-    const Engine engine = value_or_die(Engine::Builder().build());
-    const ModuleHandle facade = value_or_die(engine.compile(k.source));
-
-    DiagnosticEngine diags;
-    const auto via_source = compile_source(k.source, {}, diags);
-    ASSERT_TRUE(via_source.has_value()) << diags.dump();
-    const Module via_die = compile_or_die(k.source);
-
-    const std::vector<uint8_t> image = serialize_module(*facade);
-    EXPECT_EQ(image, serialize_module(*via_source)) << k.name;
-    EXPECT_EQ(image, serialize_module(via_die)) << k.name;
-  }
-}
-
-TEST(ShimEquivalence, RawLoadMatchesFacadeDeploymentOnAllTargets) {
-  const KernelInfo& k = table1_kernels()[4];  // sum u8 (vectorized)
-  constexpr int kN = 512;
-  const std::vector<Value> args{Value::make_i32(4096), Value::make_i32(kN)};
-  const auto fill = [](Memory& mem) {
-    for (int i = 0; i < kN; ++i) {
-      mem.store_u8(4096 + static_cast<uint32_t>(i),
-                   static_cast<uint8_t>(i * 7 + 3));
-    }
-  };
-
-  const Engine engine = value_or_die(Engine::Builder().build());
-  const ModuleHandle module = value_or_die(engine.compile(k.source));
-
-  for (TargetKind kind : all_targets()) {
-    // Deprecated path: raw target, raw load(), caller-managed lifetime.
-    OnlineTarget old_target(kind);
-    old_target.load(*module);
-    Memory old_mem(1 << 20);
-    fill(old_mem);
-    const SimResult old_result = old_target.run(k.fn_name, args, old_mem);
-
-    // Facade path.
-    Deployment dep = value_or_die(engine.deploy(module, {{kind, false}}));
-    fill(dep.memory());
-    const SimResult new_result =
-        value_or_die(dep.run_on(0, k.fn_name, args));
-
-    ASSERT_TRUE(old_result.ok());
-    ASSERT_TRUE(new_result.ok());
-    EXPECT_EQ(old_result.value, new_result.value) << target_desc(kind).name;
-    EXPECT_EQ(old_result.stats.cycles, new_result.stats.cycles)
-        << target_desc(kind).name;
-    EXPECT_EQ(old_result.stats.instructions, new_result.stats.instructions)
-        << target_desc(kind).name;
-  }
-}
-
-TEST(ShimEquivalence, CacheCountersMatchBetweenRawSocAndDeployment) {
-  const Module module = value_or_die(compile_module(fir_source()));
-  const std::vector<CoreSpec> cores{{TargetKind::X86Sim, false},
-                                    {TargetKind::X86Sim, false},
-                                    {TargetKind::PpcSim, false}};
-
-  // Deprecated path: hand-built SocOptions + raw load().
-  SocOptions options;
-  Soc raw_soc(cores, 1 << 20, options);
-  raw_soc.load(module);
-  const Statistics raw_stats = raw_soc.code_cache().stats();
-
-  // Facade path with the equivalent engine.
-  const Engine engine = value_or_die(Engine::Builder().build());
-  const ModuleHandle handle = ModuleHandle::adopt(module);
-  Deployment dep = value_or_die(engine.deploy(handle, cores));
-  const Statistics dep_stats = dep.cache_stats();
-
-  for (const char* key : {"cache.hits", "cache.misses", "cache.compiles",
-                          "cache.evictions"}) {
-    EXPECT_EQ(raw_stats.get(key), dep_stats.get(key)) << key;
-  }
-}
-
-#pragma GCC diagnostic pop
 
 // --- the feedback loop through the facade ------------------------------------
 

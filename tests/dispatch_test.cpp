@@ -1,6 +1,8 @@
 // Differential tests for the threaded-dispatch tier-0 engine
 // (vm/dispatch_threaded.cpp + vm/predecode.cpp) against the reference
-// switch interpreter, which defines the semantics.
+// switch interpreter, the oracle for dispatch, frames and stacks. (Both
+// run the value-opcode definitions of vm/semantics.h, which
+// tests/semantics_test.cpp checks against literal golden rows.)
 //
 // Coverage contract, asserted at the bottom of this file: every opcode in
 // bytecode/opcodes.def executes through both engines, and every

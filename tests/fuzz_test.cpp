@@ -70,21 +70,12 @@ TEST(FuzzGenerator, MemoryFillIsDeterministic) {
 // ---------------------------------------------------------------- cells --
 
 TEST(FuzzCells, CanonicalizeCollapsesDegenerateAxes) {
-  Cell c;
-  c.target = TargetKind::X86Sim;
-  c.tier = TierMode::Tiered;
-  c.dispatch = DispatchKind::Switch;
-  c.fusion = true;  // fusion is a threaded-engine feature
-  EXPECT_FALSE(canonicalize(c).fusion);
-
   Cell e;
   e.target = TargetKind::PpcSim;
   e.tier = TierMode::Eager;
-  e.dispatch = DispatchKind::Threaded;
-  e.fusion = true;  // no tier 0 -> no dispatch axis at all
+  e.dispatch = DispatchKind::Threaded;  // no tier 0 -> no dispatch axis
   const Cell ce = canonicalize(e);
   EXPECT_EQ(ce.dispatch, DispatchKind::Switch);
-  EXPECT_FALSE(ce.fusion);
 
   Cell w;
   w.target = TargetKind::SpuSim;
