@@ -107,15 +107,15 @@ struct ConfigReport {
 ConfigReport run_config(const std::string& name, const Module& module,
                         uint32_t tier2_threshold) {
   SocOptions options;
-  options.mode = LoadMode::Tiered;
-  options.promote_threshold = 2;
-  options.profile = true;
-  options.tier2_threshold = tier2_threshold;
+  options.tiers.mode = LoadMode::Tiered;
+  options.tiers.promote_threshold = 2;
+  options.tiers.profile = true;
+  options.tiers.tier2_threshold = tier2_threshold;
   // No pool: every compile is synchronous, so the run is deterministic
   // and the smoke target cannot flake on scheduling.
   options.pool_threads = 0;
 
-  Soc soc(soc_cores(), 1 << 20, options);
+  Soc soc(soc_cores(), 1 << 20, {}, options);
   load_or_die(soc, module);
   setup_samples(soc.memory());
 
@@ -153,7 +153,8 @@ ConfigReport run_config(const std::string& name, const Module& module,
       }
     }
     report.core_cycles.push_back(cycles);
-    report.tier2_fns.push_back(soc.core(c).tier2_functions());
+    report.tier2_fns.push_back(
+        soc.core(c).tier_counters().tier2_functions);
   }
 
   const Statistics stats = soc.code_cache().stats();

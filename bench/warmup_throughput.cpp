@@ -59,7 +59,7 @@ ConfigReport run_config(const std::string& name, const Module& suite,
   ConfigReport report;
   report.name = name;
 
-  Soc soc(soc_cores(), 1 << 20, options);
+  Soc soc(soc_cores(), 1 << 20, {}, options);
   const auto t0 = std::chrono::steady_clock::now();
   load_or_die(soc, suite);
   const auto t1 = std::chrono::steady_clock::now();
@@ -87,7 +87,7 @@ ConfigReport run_config(const std::string& name, const Module& suite,
       std::abort();
     }
     report.first_call_cycles += r.stats.cycles;
-    report.tier0_first_calls += r.interpreted ? 1 : 0;
+    report.tier0_first_calls += r.tier == 0 ? 1 : 0;
   }
 
   // Steady state: identical for every configuration once warmed up.
@@ -125,7 +125,7 @@ int main() {
   SocOptions eager;  // defaults: eager mode, shared cache
 
   SocOptions tiered;
-  tiered.mode = LoadMode::Tiered;
+  tiered.tiers.mode = LoadMode::Tiered;
   tiered.pool_threads = 2;
 
   SocOptions prefetch = tiered;

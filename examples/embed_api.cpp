@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
                  hot.value.f32);
     return 1;
   }
-  const Deployment::TierCounters tiers = dep.tier_counters();
+  const TierCounters tiers = dep.tier_counters();
   std::printf("dot = %g on tiers 0/%d; calls per tier: %llu interpreted, "
               "%llu jitted (%llu at tier 2)\n",
               hot.value.f32, hot.tier,

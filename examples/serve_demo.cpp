@@ -96,7 +96,7 @@ int main() {
                 static_cast<unsigned long long>(cs.peak_queue_depth),
                 static_cast<unsigned long long>(cs.rejected));
   }
-  const Deployment::TierCounters tiers = server.deployment().tier_counters();
+  const TierCounters tiers = server.deployment().tier_counters();
   std::printf("runtime: %llu interpreted, %llu jitted (%llu at tier 2), "
               "%llu tier-2 function(s)\n",
               static_cast<unsigned long long>(tiers.interpreted),

@@ -94,29 +94,26 @@ std::future<void> Deployment::warm_up() {
 
 void Deployment::wait_warmup() { soc_->wait_warmup(); }
 
-Deployment::TierCounters Deployment::tier_counters() const {
-  TierCounters counters;
+TierCounters Deployment::tier_counters() const {
+  TierCounters sum;
   for (size_t c = 0; c < soc_->num_cores(); ++c) {
-    const OnlineTarget& core = soc_->core(c);
-    counters.interpreted += core.interpreted_calls();
-    counters.jitted += core.jitted_calls();
-    counters.tier2 += core.tier2_calls();
-    counters.tier2_functions += core.tier2_functions();
+    const TierCounters core = soc_->core(c).tier_counters();
+    sum.interpreted += core.interpreted;
+    sum.jitted += core.jitted;
+    sum.tier2 += core.tier2;
+    sum.tier2_functions += core.tier2_functions;
   }
-  return counters;
+  return sum;
 }
 
-Result<Deployment::TierCounters> Deployment::tier_counters_on(
-    size_t core) const {
+Result<TierCounters> Deployment::tier_counters_on(size_t core) const {
   if (core >= soc_->num_cores()) {
     return Result<TierCounters>::failure(
         "Deployment::tier_counters_on: core " + std::to_string(core) +
         " out of range (deployment has " + std::to_string(soc_->num_cores()) +
         ")");
   }
-  const Soc::CoreCounters counters = soc_->core_counters(core);
-  return TierCounters{counters.interpreted, counters.jitted, counters.tier2,
-                      counters.tier2_functions};
+  return soc_->core(core).tier_counters();
 }
 
 Statistics Deployment::cache_stats() const { return soc_->code_cache().stats(); }

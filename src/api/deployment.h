@@ -40,18 +40,6 @@ class Deployment {
   /// background jobs never outlive the Soc they warm).
   ~Deployment();
 
-  /// Calls served per tier across all cores since load: tier 0
-  /// (interpreter), tier 1 (fast JIT), tier 2 (profile-guided
-  /// re-specialization; a subset of `jitted`). Eager deployments do no
-  /// tier bookkeeping and report zeros.
-  struct TierCounters {
-    uint64_t interpreted = 0;
-    uint64_t jitted = 0;
-    uint64_t tier2 = 0;
-    // Functions with an installed tier-2 artifact, summed over cores.
-    uint64_t tier2_functions = 0;
-  };
-
   /// Runs `name` on the core the annotation-driven mapper ranks best for
   /// it (runtime/mapper.h) -- the paper's "annotations drive mapping"
   /// story as the default call path. Fails on an unknown function name.
@@ -65,7 +53,7 @@ class Deployment {
   /// runaway reduction candidates cheap).
   [[nodiscard]] Result<SimResult> run_on(
       size_t core, std::string_view name, const std::vector<Value>& args,
-      uint64_t step_budget = uint64_t{1} << 32);
+      uint64_t step_budget = kDefaultStepBudget);
 
   /// Asynchronously compiles every function on every core (through the
   /// shared cache, so same-ISA cores coalesce). The returned future
@@ -93,8 +81,9 @@ class Deployment {
   /// for warm_up().wait() when no new compile requests are wanted).
   void wait_warmup();
 
-  /// Summed over all cores; safe concurrently with run (each core's
-  /// counters are snapshotted under its lock).
+  /// Calls served per tier (TierCounters, driver/online_compiler.h),
+  /// summed over all cores. Safe concurrently with run: each core's
+  /// counters are one snapshot under its lock.
   [[nodiscard]] TierCounters tier_counters() const;
 
   /// The same counters for one core shard -- per-core visibility for the

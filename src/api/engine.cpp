@@ -56,48 +56,48 @@ Engine::Builder& Engine::Builder::jit_pipeline(std::string_view spec) {
 }
 
 Engine::Builder& Engine::Builder::eager() {
-  options_.mode = LoadMode::Eager;
+  options_.runtime.tiers.mode = LoadMode::Eager;
   return *this;
 }
 
 Engine::Builder& Engine::Builder::tiered(uint32_t promote_threshold) {
-  options_.mode = LoadMode::Tiered;
-  options_.promote_threshold = promote_threshold;
+  options_.runtime.tiers.mode = LoadMode::Tiered;
+  options_.runtime.tiers.promote_threshold = promote_threshold;
   return *this;
 }
 
 Engine::Builder& Engine::Builder::prefetch(bool on) {
-  options_.prefetch = on;
+  options_.runtime.prefetch = on;
   return *this;
 }
 
 Engine::Builder& Engine::Builder::profiling(bool on) {
-  options_.profile = on;
+  options_.runtime.tiers.profile = on;
   return *this;
 }
 
 Engine::Builder& Engine::Builder::tier2(uint32_t threshold) {
-  options_.tier2_threshold = threshold;
+  options_.runtime.tiers.tier2_threshold = threshold;
   return *this;
 }
 
 Engine::Builder& Engine::Builder::tier0_dispatch(DispatchKind kind) {
-  options_.tier0_dispatch = kind;
+  options_.runtime.tiers.tier0_dispatch = kind;
   return *this;
 }
 
 Engine::Builder& Engine::Builder::pool_threads(size_t threads) {
-  options_.pool_threads = threads;
+  options_.runtime.pool_threads = threads;
   return *this;
 }
 
 Engine::Builder& Engine::Builder::cache_budget(size_t bytes) {
-  options_.cache_budget_bytes = bytes;
+  options_.runtime.cache_budget_bytes = bytes;
   return *this;
 }
 
 Engine::Builder& Engine::Builder::persistent_cache(std::string_view path) {
-  options_.persistent_cache_path = std::string(path);
+  options_.runtime.persistent_cache_path = std::string(path);
   return *this;
 }
 
@@ -163,20 +163,21 @@ Result<Engine> Engine::Builder::build() const {
     }
   }
 
-  if (options.mode == LoadMode::Eager) {
-    if (options.prefetch) {
+  const SocOptions& runtime = options.runtime;
+  if (runtime.tiers.mode == LoadMode::Eager) {
+    if (runtime.prefetch) {
       problem("prefetch() requires a tiered() engine: eager deployments "
               "compile everything at deploy() already");
     }
-    if (options.profile) {
+    if (runtime.tiers.profile) {
       problem("profiling() requires a tiered() engine: the runtime profile "
               "is collected by the tier-0 interpreter");
     }
-    if (options.tier2_threshold > 0) {
+    if (runtime.tiers.tier2_threshold > 0) {
       problem("tier2() requires a tiered() engine: re-specialization "
               "promotes functions that are hot at tier 1");
     }
-  } else if (options.promote_threshold == 0) {
+  } else if (runtime.tiers.promote_threshold == 0) {
     problem("tiered() promote_threshold must be at least 1 (a function is "
             "promoted after that many calls)");
   }
@@ -186,15 +187,15 @@ Result<Engine> Engine::Builder::build() const {
             "this linear memory");
   }
 
-  if (!options.persistent_cache_path.empty()) {
+  if (!runtime.persistent_cache_path.empty()) {
     // Opening validates the whole contract now (creatable, a directory,
     // writable) so a mis-pointed store is a build() error instead of a
     // silently memory-only deployment. The probe store is discarded;
     // each Soc opens its own against the validated path.
     if (Result<PersistentCache> store =
-            PersistentCache::open(options.persistent_cache_path);
+            PersistentCache::open(runtime.persistent_cache_path);
         !store.ok()) {
-      problem("persistent_cache('" + options.persistent_cache_path +
+      problem("persistent_cache('" + runtime.persistent_cache_path +
               "') failed validation:\n" + store.error_text());
     }
   }
@@ -248,22 +249,10 @@ Result<Deployment> Engine::deploy(const ModuleHandle& module,
         "Engine::deploy: a deployment needs at least one core");
   }
 
-  SocOptions soc_options;
-  soc_options.jit = options_.jit;
-  soc_options.mode = options_.mode;
-  soc_options.prefetch = options_.prefetch;
-  soc_options.promote_threshold = options_.promote_threshold;
-  soc_options.profile = options_.profile;
-  soc_options.tier2_threshold = options_.tier2_threshold;
-  soc_options.tier0_dispatch = options_.tier0_dispatch;
-  soc_options.pool_threads = options_.pool_threads;
-  soc_options.cache_budget_bytes = options_.cache_budget_bytes;
-  soc_options.persistent_cache_path = options_.persistent_cache_path;
-
   const size_t memory_bytes =
       std::max<size_t>(options_.memory_bytes, module->memory_hint());
-  auto soc =
-      std::make_unique<Soc>(std::move(cores), memory_bytes, soc_options);
+  auto soc = std::make_unique<Soc>(std::move(cores), memory_bytes,
+                                   options_.jit, options_.runtime);
   if (Result<void> r = soc->load_module(module.shared()); !r.ok()) {
     return Result<Deployment>::failure(r.error());
   }

@@ -45,34 +45,21 @@
 namespace svc {
 
 /// The full, validated configuration behind an Engine: offline schedule,
-/// per-target JIT options, and deployment-runtime knobs in one place
-/// (replacing the OfflineOptions / JitOptions / OnlineTargetConfig /
-/// SocOptions quartet an embedder previously stitched together by hand).
-/// Assembled by Engine::Builder; read-only afterwards.
+/// per-target JIT options, and deployment-runtime knobs in one place.
+/// Each part is the struct its layer consumes (OfflineOptions, JitOptions,
+/// SocOptions, ServerOptions, ClusterOptions), so deploy() and serve()
+/// hand them down whole. Assembled by Engine::Builder; read-only
+/// afterwards.
 struct EngineOptions {
   // Offline (imported profiles are carried separately, as an owned
   // handle -- see Engine::Builder::with_profile).
   OfflineOptions offline;
   // Per-target JIT.
   JitOptions jit;
-  // Deployment runtime (Soc/OnlineTarget wiring).
-  LoadMode mode = LoadMode::Eager;
-  bool prefetch = false;
-  uint32_t promote_threshold = 1;
-  bool profile = false;
-  uint32_t tier2_threshold = 0;
-  // Tier-0 engine for tiered deployments (vm/interpreter.h): the
-  // production computed-goto engine by default; the portable switch
-  // engine on request. Results are bit-identical across engines -- the
-  // differential fuzz harness (src/fuzz) runs both as cells.
-  DispatchKind tier0_dispatch = DispatchKind::Threaded;
-  size_t pool_threads = 0;
-  size_t cache_budget_bytes = SIZE_MAX;
-  // Directory of the persistent on-disk code cache shared by every
-  // deployment of this engine (and by other processes pointing at the
-  // same directory); empty = in-memory caching only. Validated at
-  // build(). See docs/PERSISTENCE.md.
-  std::string persistent_cache_path;
+  // Deployment runtime: tier policy, prefetch, compile pool, cache budget
+  // and the persistent on-disk cache (validated at build(); see
+  // docs/PERSISTENCE.md), shared by every deployment of this engine.
+  SocOptions runtime;
   // Linear memory per deployment; raised to the module's own memory hint
   // at deploy() when that is larger.
   size_t memory_bytes = size_t{1} << 20;

@@ -94,16 +94,14 @@ Result<void> OnlineTarget::load_module(std::shared_ptr<const Module> module) {
   const Module& mod = *module_;
   jit_stats_.clear();
   jit_seconds_ = 0.0;
-  interpreted_calls_ = 0;
-  jitted_calls_ = 0;
-  tier2_calls_ = 0;
+  counters_ = {};
   code_.clear();
   states_.clear();
   image_.reset();
-  profile_.reset(config_.profile ? mod.num_functions() : 0);
+  profile_.reset(config_.tiers.profile ? mod.num_functions() : 0);
 
   const uint32_t n = static_cast<uint32_t>(mod.num_functions());
-  if (config_.mode == LoadMode::Tiered) {
+  if (config_.tiers.mode == LoadMode::Tiered) {
     // No compilation now: empty slots are filled as artifacts install.
     code_.resize(n);
     states_.resize(n);
@@ -141,7 +139,7 @@ SimResult OnlineTarget::run(uint32_t func_idx, const std::vector<Value>& args,
   if (!module_) fatal("OnlineTarget::run before load");
   assert(func_idx < module_->num_functions());
 
-  if (config_.mode == LoadMode::Tiered) {
+  if (config_.tiers.mode == LoadMode::Tiered) {
     bool use_jit = true;
     uint8_t tier = 1;
     std::shared_ptr<const std::vector<MFunction>> image;
@@ -149,7 +147,7 @@ SimResult OnlineTarget::run(uint32_t func_idx, const std::vector<Value>& args,
       std::lock_guard<std::mutex> lock(mutex_);
       FuncState& st = states_[func_idx];
       ++st.calls;
-      if (!st.requested && st.calls >= config_.promote_threshold) {
+      if (!st.requested && st.calls >= config_.tiers.promote_threshold) {
         request_compile_locked(func_idx);
       }
       for (const uint32_t r : st.reachable) {
@@ -157,20 +155,20 @@ SimResult OnlineTarget::run(uint32_t func_idx, const std::vector<Value>& args,
         use_jit = use_jit && states_[r].installed;
       }
       if (use_jit) {
-        ++jitted_calls_;
+        ++counters_.jitted;
         ++st.jit_calls;
-        if (config_.tier2_threshold > 0 && !st.tier2_requested &&
-            st.jit_calls >= config_.tier2_threshold) {
+        if (config_.tiers.tier2_threshold > 0 && !st.tier2_requested &&
+            st.jit_calls >= config_.tiers.tier2_threshold) {
           request_tier2_locked(func_idx);
         }
         poll_tier2_locked(func_idx);
         if (st.tier2_installed) {
           tier = 2;
-          ++tier2_calls_;
+          ++counters_.tier2;
         }
         image = image_;
       } else {
-        ++interpreted_calls_;
+        ++counters_.interpreted;
       }
     }
     // Execution happens outside the lock on the snapshot taken inside it:
@@ -190,14 +188,14 @@ SimResult OnlineTarget::run(uint32_t func_idx, const std::vector<Value>& args,
 }
 
 void OnlineTarget::request_compile(uint32_t func_idx) {
-  if (config_.mode != LoadMode::Tiered || !module_) return;
+  if (config_.tiers.mode != LoadMode::Tiered || !module_) return;
   std::lock_guard<std::mutex> lock(mutex_);
   if (func_idx >= states_.size()) return;
   request_compile_locked(func_idx);
 }
 
 bool OnlineTarget::jit_ready(uint32_t func_idx) {
-  if (config_.mode != LoadMode::Tiered) return module_ != nullptr;
+  if (config_.tiers.mode != LoadMode::Tiered) return module_ != nullptr;
   std::lock_guard<std::mutex> lock(mutex_);
   if (func_idx >= states_.size()) return false;
   bool ready = true;
@@ -208,26 +206,19 @@ bool OnlineTarget::jit_ready(uint32_t func_idx) {
   return ready;
 }
 
-uint64_t OnlineTarget::interpreted_calls() const {
+Statistics OnlineTarget::jit_stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return interpreted_calls_;
+  return jit_stats_;
 }
 
-uint64_t OnlineTarget::jitted_calls() const {
+double OnlineTarget::jit_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return jitted_calls_;
+  return jit_seconds_;
 }
 
-uint64_t OnlineTarget::tier2_calls() const {
+TierCounters OnlineTarget::tier_counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return tier2_calls_;
-}
-
-size_t OnlineTarget::tier2_functions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t n = 0;
-  for (const FuncState& st : states_) n += st.tier2_installed ? 1 : 0;
-  return n;
+  return counters_;
 }
 
 ProfileData OnlineTarget::profile() const {
@@ -365,6 +356,7 @@ void OnlineTarget::install_tier2_locked(uint32_t func_idx,
   jit_stats_.add("jit.tier2_installs", 1);
   jit_seconds_ += artifact.compile_seconds;
   states_[func_idx].tier2_installed = true;
+  ++counters_.tier2_functions;
 }
 
 SimResult OnlineTarget::interpret(uint32_t func_idx,
@@ -372,7 +364,7 @@ SimResult OnlineTarget::interpret(uint32_t func_idx,
                                   Memory& memory, uint64_t step_budget) {
   Interpreter interp(*module_, memory);
   interp.set_step_budget(step_budget);
-  interp.set_dispatch(config_.tier0_dispatch);
+  interp.set_dispatch(config_.tiers.tier0_dispatch);
   // Tier-0 pre-decoded streams persist across the per-call Interpreter:
   // lowering happens once per (module, function), not once per request.
   interp.set_predecode_cache(config_.predecode ? config_.predecode
@@ -380,17 +372,16 @@ SimResult OnlineTarget::interpret(uint32_t func_idx,
   // Concurrent tier-0 calls collect into a per-call local and merge under
   // the lock afterwards; the collector itself is not thread-safe.
   ProfileData local;
-  if (config_.profile) {
+  if (config_.tiers.profile) {
     local.reset(module_->num_functions());
     interp.set_profile(&local);
   }
   const ExecResult r = interp.run(func_idx, args);
-  if (config_.profile) {
+  if (config_.tiers.profile) {
     std::lock_guard<std::mutex> lock(mutex_);
     profile_.merge(local);
   }
   SimResult out;
-  out.interpreted = true;
   out.tier = 0;
   out.trap = r.trap;
   if (r.value) out.value = *r.value;

@@ -8,9 +8,9 @@
 // "shipping the same bytecode to three machines" looks like when the
 // machines also have to start up fast.
 //
-// The runtime also observes itself: with config.profile the tier-0
+// The runtime also observes itself: with tiers.profile the tier-0
 // interpreter collects ProfileData (calls, branch bias, trip counts,
-// vector widths), and with config.tier2_threshold > 0 functions hot at
+// vector widths), and with tiers.tier2_threshold > 0 functions hot at
 // tier 1 are *re*-specialized -- the JIT re-runs with profile-derived
 // options (runtime/profile_guided.h) and the tier-2 artifact replaces the
 // tier-1 code under a copy-on-write code image, so in-flight executions
@@ -50,11 +50,10 @@ enum class LoadMode : uint8_t {
 /// machine cycles and stable across hosts (bench/warmup_throughput.cpp).
 inline constexpr uint64_t kInterpreterCyclesPerStep = 8;
 
-/// Tiered-runtime wiring for one OnlineTarget. `cache` and `pool` are
-/// optional and shared (typically owned by a Soc): without a pool, tier-up
-/// compiles run synchronously at the promotion threshold; without a cache,
-/// artifacts are private to the target.
-struct OnlineTargetConfig {
+/// How a deployed runtime tiers code: the knobs every layer above
+/// (OnlineTarget, Soc, Engine) shares, declared once here and passed
+/// down by value.
+struct TierPolicy {
   LoadMode mode = LoadMode::Eager;
   // Calls of a function before its JIT compile is requested.
   uint32_t promote_threshold = 1;
@@ -65,6 +64,19 @@ struct OnlineTargetConfig {
   // Calls served by JITed code before the profile-guided optimizing
   // recompile (tier 2) of that function is requested; 0 disables tier 2.
   uint32_t tier2_threshold = 0;
+  // Tier-0 engine selection, forwarded to every interpreter the runtime
+  // creates. The default is the production engine; differential tests
+  // and the fuzz harness (src/fuzz) flip it to compare engines (results
+  // are bit-identical either way -- see vm/interpreter.h).
+  DispatchKind tier0_dispatch = DispatchKind::Threaded;
+};
+
+/// Tiered-runtime wiring for one OnlineTarget. `cache` and `pool` are
+/// optional and shared (typically owned by a Soc): without a pool, tier-up
+/// compiles run synchronously at the promotion threshold; without a cache,
+/// artifacts are private to the target.
+struct OnlineTargetConfig {
+  TierPolicy tiers;
   CodeCache* cache = nullptr;
   ThreadPool* pool = nullptr;
   // Pre-decoded tier-0 stream cache shared across targets (pre-decoding
@@ -73,11 +85,18 @@ struct OnlineTargetConfig {
   // cache, so streams are still lowered once per deployment rather than
   // once per call.
   PredecodeCache* predecode = nullptr;
-  // Tier-0 engine selection, forwarded to every interpreter this target
-  // creates. The default is the production engine; differential tests
-  // flip it to compare engines (results are bit-identical either way --
-  // see vm/interpreter.h).
-  DispatchKind tier0_dispatch = DispatchKind::Threaded;
+};
+
+/// Calls served per tier since load, one snapshot taken under one lock:
+/// `interpreted` by tier 0, `jitted` by JITed code (tier 1 or 2), `tier2`
+/// by a tier-2 re-specialized artifact (a subset of `jitted`), plus the
+/// number of functions with a tier-2 artifact installed. Eager targets do
+/// no tier bookkeeping and report zeros. Deployment sums it over cores.
+struct TierCounters {
+  uint64_t interpreted = 0;
+  uint64_t jitted = 0;
+  uint64_t tier2 = 0;
+  uint64_t tier2_functions = 0;
 };
 
 class OnlineTarget {
@@ -95,9 +114,11 @@ class OnlineTarget {
 
   [[nodiscard]] const MachineDesc& desc() const { return desc_; }
   [[nodiscard]] const JitOptions& options() const { return jit_.options(); }
-  [[nodiscard]] LoadMode mode() const { return config_.mode; }
-  [[nodiscard]] const Statistics& jit_stats() const { return jit_stats_; }
-  [[nodiscard]] double jit_seconds() const { return jit_seconds_; }
+  [[nodiscard]] LoadMode mode() const { return config_.tiers.mode; }
+  /// JIT counters and compile time of the installed code. Snapshots taken
+  /// under the target's lock, so safe while tier-up installs more code.
+  [[nodiscard]] Statistics jit_stats() const;
+  [[nodiscard]] double jit_seconds() const;
   [[nodiscard]] const std::vector<MFunction>& code() const { return code_; }
 
   /// Verifies `module` and prepares it for execution: eager mode
@@ -116,12 +137,12 @@ class OnlineTarget {
 
   /// Runs a loaded function by name on `memory`. In tiered mode the call
   /// is served by the interpreter until the function and everything it
-  /// can call have installed JITed code (result.interpreted tells which
-  /// tier ran); results are bit-identical across tiers. Thread-safe in
+  /// can call have installed JITed code (result.tier tells which tier
+  /// ran); results are bit-identical across tiers. Thread-safe in
   /// tiered mode for concurrent callers on disjoint memory.
   [[nodiscard]] SimResult run(std::string_view name,
                               const std::vector<Value>& args, Memory& memory,
-                              uint64_t step_budget = uint64_t{1} << 32);
+                              uint64_t step_budget = kDefaultStepBudget);
 
   /// Index-taking spelling of run() for callers that already resolved
   /// (and bounds-checked) the function -- the serving layer's hot path,
@@ -129,7 +150,7 @@ class OnlineTarget {
   /// must be < the module's function count.
   [[nodiscard]] SimResult run(uint32_t func_idx,
                               const std::vector<Value>& args, Memory& memory,
-                              uint64_t step_budget = uint64_t{1} << 32);
+                              uint64_t step_budget = kDefaultStepBudget);
 
   /// Requests the background (or, without a pool, immediate) compile of
   /// `func_idx` and every function it can reach, without running anything.
@@ -140,19 +161,12 @@ class OnlineTarget {
   /// pending compiles, so a false result may turn true moments later.
   [[nodiscard]] bool jit_ready(uint32_t func_idx);
 
-  /// Calls served per tier since load. Tiered mode only: eager mode does
-  /// no tier bookkeeping and reports zero for both. jitted_calls() counts
-  /// every call answered by JITed code; tier2_calls() is the subset
-  /// served after the function's tier-2 artifact installed.
-  [[nodiscard]] uint64_t interpreted_calls() const;
-  [[nodiscard]] uint64_t jitted_calls() const;
-  [[nodiscard]] uint64_t tier2_calls() const;
-
-  /// Functions whose tier-2 (re-specialized) artifact is installed.
-  [[nodiscard]] size_t tier2_functions() const;
+  /// Snapshot of the per-tier call counters (see TierCounters).
+  /// Thread-safe; consistent with concurrent run() calls.
+  [[nodiscard]] TierCounters tier_counters() const;
 
   /// Snapshot of the runtime profile collected so far (empty unless the
-  /// target runs tiered with config.profile). Own observations only: an
+  /// target runs tiered with tiers.profile). Own observations only: an
   /// externally seeded baseline (seed_profile) is never included, so
   /// merging targets' profiles across cores, Socs, or cluster shards
   /// never double-counts.
@@ -231,9 +245,7 @@ class OnlineTarget {
   // External baseline merged into tier-2 derivation only (seed_profile);
   // excluded from profile() so cross-collector merges stay exact.
   ProfileData seed_profile_;
-  uint64_t interpreted_calls_ = 0;
-  uint64_t jitted_calls_ = 0;
-  uint64_t tier2_calls_ = 0;
+  TierCounters counters_;
 };
 
 }  // namespace svc

@@ -6,7 +6,8 @@
 
 namespace svc {
 
-Soc::Soc(std::vector<CoreSpec> cores, size_t memory_bytes, SocOptions options)
+Soc::Soc(std::vector<CoreSpec> cores, size_t memory_bytes, JitOptions jit,
+         SocOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_budget_bytes),
       specs_(std::move(cores)),
@@ -28,15 +29,12 @@ Soc::Soc(std::vector<CoreSpec> cores, size_t memory_bytes, SocOptions options)
   if (options_.pool_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(options_.pool_threads);
   }
-  OnlineTarget::Config core_config{
-      options_.mode,    options_.promote_threshold, options_.profile,
-      options_.tier2_threshold, &cache_,            pool_.get(),
-      &predecode_};
-  core_config.tier0_dispatch = options_.tier0_dispatch;
+  const OnlineTarget::Config core_config{options_.tiers, &cache_,
+                                         pool_.get(), &predecode_};
   cores_.reserve(specs_.size());
   for (const CoreSpec& spec : specs_) {
     cores_.push_back(
-        std::make_unique<OnlineTarget>(spec.kind, options_.jit, core_config));
+        std::make_unique<OnlineTarget>(spec.kind, jit, core_config));
   }
 }
 
@@ -52,7 +50,7 @@ Result<void> Soc::load_module(std::shared_ptr<const Module> module) {
   }
   module_ = std::move(module);
 
-  if (options_.mode == LoadMode::Tiered && options_.prefetch) {
+  if (options_.tiers.mode == LoadMode::Tiered && options_.prefetch) {
     // Annotation-driven warm-up: each function is background-compiled only
     // on its top-ranked core -- the mapper's HardwareHints scoring applied
     // to install time. Same-kind cores share the resulting artifact via
@@ -67,12 +65,6 @@ Result<void> Soc::load_module(std::shared_ptr<const Module> module) {
 
 void Soc::wait_warmup() {
   if (pool_) pool_->wait_idle();
-}
-
-Soc::CoreCounters Soc::core_counters(size_t c) const {
-  const OnlineTarget& core = *cores_[c];
-  return {core.interpreted_calls(), core.jitted_calls(), core.tier2_calls(),
-          core.tier2_functions()};
 }
 
 ProfileData Soc::profile() const {

@@ -28,25 +28,16 @@ struct CoreSpec {
   bool is_accelerator = false;  // memory reached via DMA
 };
 
+/// Runtime configuration of a Soc; JIT options are passed separately,
+/// as they are to OnlineTarget.
 struct SocOptions {
-  JitOptions jit;
-  LoadMode mode = LoadMode::Eager;
+  // Tier mode, thresholds, profiling and tier-0 engine, handed to every
+  // core unchanged.
+  TierPolicy tiers;
   // Tiered warm-up prefetch: at load, background-compile each function on
   // its top-ranked core per the HardwareHints annotations (no-op in eager
   // mode, where everything compiles anyway).
   bool prefetch = false;
-  // Calls of a function on a core before its JIT compile is requested.
-  uint32_t promote_threshold = 1;
-  // Tier-0 runtime profiling on every core (tiered mode): feeds tier-2
-  // re-specialization and export_profiled_module().
-  bool profile = false;
-  // Calls of a function served by JITed code on a core before its
-  // profile-guided tier-2 recompile is requested; 0 disables tier 2.
-  uint32_t tier2_threshold = 0;
-  // Tier-0 engine selection, forwarded to every core's interpreter
-  // (results are bit-identical across engines -- the fuzz harness in
-  // src/fuzz runs both as differential cells; see vm/interpreter.h).
-  DispatchKind tier0_dispatch = DispatchKind::Threaded;
   // Background compile workers; 0 = no pool, tier-up compiles run
   // synchronously at the promotion threshold.
   size_t pool_threads = 0;
@@ -64,7 +55,7 @@ struct SocOptions {
 
 class Soc {
  public:
-  Soc(std::vector<CoreSpec> cores, size_t memory_bytes,
+  Soc(std::vector<CoreSpec> cores, size_t memory_bytes, JitOptions jit = {},
       SocOptions options = {});
 
   /// Loads `module` on every core through the shared cache. An invalid
@@ -103,22 +94,8 @@ class Soc {
   /// Blocks until every in-flight background compile has finished.
   void wait_warmup();
 
-  /// Per-shard tier counters of one core: calls served by the
-  /// interpreter (tier 0), by JITed code (tier 1+), and by a tier-2
-  /// re-specialized artifact (a subset of `jitted`), plus the number of
-  /// functions with a tier-2 artifact installed on that core. Eager
-  /// cores do no tier bookkeeping and report zeros. Safe to call
-  /// concurrently with run_on (snapshots under the core's lock).
-  struct CoreCounters {
-    uint64_t interpreted = 0;
-    uint64_t jitted = 0;
-    uint64_t tier2 = 0;
-    size_t tier2_functions = 0;
-  };
-  [[nodiscard]] CoreCounters core_counters(size_t c) const;
-
   /// Runtime profile merged across every core (empty unless
-  /// options.profile). One SoC-wide view: the cores execute the same
+  /// options.tiers.profile). One SoC-wide view: the cores execute the same
   /// module, so per-function records simply accumulate. Safe to call
   /// concurrently with run_on: each core's contribution is snapshotted
   /// under that core's lock, so the merge sees a consistent per-core
@@ -151,14 +128,14 @@ class Soc {
   /// default matches OnlineTarget::run's.
   [[nodiscard]] SimResult run_on(size_t c, std::string_view name,
                                  const std::vector<Value>& args,
-                                 uint64_t step_budget = uint64_t{1} << 32);
+                                 uint64_t step_budget = kDefaultStepBudget);
 
   /// Index-taking spelling for callers that already resolved the
   /// function (the serving layer's per-request path); same concurrency
   /// contract. `func_idx` must be < the module's function count.
   [[nodiscard]] SimResult run_on(size_t c, uint32_t func_idx,
                                  const std::vector<Value>& args,
-                                 uint64_t step_budget = uint64_t{1} << 32);
+                                 uint64_t step_budget = kDefaultStepBudget);
 
   /// DMA cost (cycles) for moving `bytes` to or from an accelerator.
   [[nodiscard]] uint64_t dma_cycles(uint64_t bytes) const {

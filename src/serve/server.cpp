@@ -282,10 +282,7 @@ struct Server::Impl {
       cs.rejected = shard.rejected.load(kRelaxed);
       cs.peak_queue_depth = shard.queue.peak_depth();
       cs.sim_cycles = shard.sim_cycles.load(kRelaxed);
-      const Soc::CoreCounters counters = soc.core_counters(c);
-      cs.interpreted_calls = counters.interpreted;
-      cs.jitted_calls = counters.jitted;
-      cs.tier2_calls = counters.tier2;
+      cs.tiers = soc.core(c).tier_counters();
       s.batches += cs.batches;
       s.sim_cycles += cs.sim_cycles;
       s.cores.push_back(cs);

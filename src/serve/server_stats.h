@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/online_compiler.h"
 #include "support/latency_histogram.h"
 #include "support/statistics.h"
 
@@ -35,9 +36,9 @@ struct FunctionServeStats {
 };
 
 /// One core shard: its queue pressure and what its OnlineTarget ran.
-/// interpreted/jitted/tier2_calls come from the runtime itself
-/// (Soc::core_counters), so they also include traffic that bypassed the
-/// server (e.g. a direct Deployment::run_on).
+/// `tiers` comes from the runtime itself (OnlineTarget::tier_counters),
+/// so it also includes traffic that bypassed the server (e.g. a direct
+/// Deployment::run_on).
 struct CoreServeStats {
   size_t core = 0;
   uint64_t executed = 0;  // requests this shard completed
@@ -48,9 +49,7 @@ struct CoreServeStats {
   // deterministic busy-time of the core, host-independent. A scaling
   // bench's bottleneck shard is max(sim_cycles) over shards.
   uint64_t sim_cycles = 0;
-  uint64_t interpreted_calls = 0;
-  uint64_t jitted_calls = 0;
-  uint64_t tier2_calls = 0;
+  TierCounters tiers;
 };
 
 /// Snapshot of a server's counters. Identities (exact once traffic has

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "targets/machine.h"
-#include "vm/interpreter.h"  // TrapKind, kMaxCallDepth
+#include "vm/interpreter.h"  // TrapKind, kMaxCallDepth, kDefaultStepBudget
 #include "vm/memory.h"
 
 namespace svc {
@@ -45,13 +45,11 @@ struct SimResult {
   Value value;  // return value (Void -> default)
   TrapKind trap = TrapKind::None;
   SimStats stats;
-  // True when the tiered runtime served this call from the tier-0
-  // interpreter (cycles then follow the deterministic interpreter cost
-  // model, see online_compiler.h) instead of JITed code.
-  bool interpreted = false;
-  // Which tier of the runtime answered: 0 = interpreter, 1 = fast JIT,
-  // 2 = profile-guided optimizing recompile. Results are bit-identical
-  // across tiers; only timing/codegen may differ.
+  // Which tier of the runtime answered: 0 = interpreter (cycles then
+  // follow the deterministic interpreter cost model, see
+  // online_compiler.h), 1 = fast JIT, 2 = profile-guided optimizing
+  // recompile. Results are bit-identical across tiers; only
+  // timing/codegen may differ.
   uint8_t tier = 1;
 
   [[nodiscard]] bool ok() const { return trap == TrapKind::None; }
@@ -74,7 +72,7 @@ class Simulator {
   const MachineDesc& desc_;
   std::span<const MFunction> functions_;
   Memory& memory_;
-  uint64_t step_budget_ = uint64_t{1} << 32;
+  uint64_t step_budget_ = kDefaultStepBudget;
   // Shared across frames during one run:
   SimStats stats_;
   std::unordered_map<uint64_t, uint8_t> predictor_;

@@ -39,6 +39,12 @@ namespace svc {
 /// tier runs it.
 inline constexpr uint32_t kMaxCallDepth = 128;
 
+/// Dynamic instructions one execution may run before StepBudgetExceeded,
+/// unless the caller sets its own budget. The one default for every
+/// engine and for every run entry point of the runtime (OnlineTarget,
+/// Soc, Deployment).
+inline constexpr uint64_t kDefaultStepBudget = uint64_t{1} << 32;
+
 struct ExecResult {
   std::optional<Value> value;  // set on normal return (Void -> Value{})
   TrapKind trap = TrapKind::None;
@@ -61,7 +67,8 @@ class Interpreter {
   Interpreter(const Module& module, Memory& memory)
       : module_(module), memory_(memory) {}
 
-  /// Maximum dynamic instructions before trapping (default 1<<30).
+  /// Maximum dynamic instructions before trapping (default
+  /// kDefaultStepBudget).
   void set_step_budget(uint64_t steps) { step_budget_ = steps; }
 
   /// Attaches a profile collector (sized for this module's functions; may
@@ -114,7 +121,7 @@ class Interpreter {
 
   const Module& module_;
   Memory& memory_;
-  uint64_t step_budget_ = uint64_t{1} << 30;
+  uint64_t step_budget_ = kDefaultStepBudget;
   uint64_t steps_used_ = 0;
   uint32_t call_depth_ = 0;
   ProfileData* profile_ = nullptr;

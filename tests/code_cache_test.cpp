@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "driver/kernels.h"
@@ -216,7 +217,7 @@ TEST(TieredTarget, BitIdenticalToEagerForEveryTargetKind) {
 
     // Tier 1 from call one (synchronous promotion at threshold 1).
     OnlineTarget::Config hot;
-    hot.mode = LoadMode::Tiered;
+    hot.tiers.mode = LoadMode::Tiered;
     OnlineTarget tiered(kind, {}, hot);
     load_or_die(tiered, m);
     expect_matches_interpreter(tiered, m, "saxpy", saxpy_args, setup);
@@ -224,13 +225,13 @@ TEST(TieredTarget, BitIdenticalToEagerForEveryTargetKind) {
 
     // Tier 0 throughout (threshold never reached): still identical.
     OnlineTarget::Config cold;
-    cold.mode = LoadMode::Tiered;
-    cold.promote_threshold = 1000;
+    cold.tiers.mode = LoadMode::Tiered;
+    cold.tiers.promote_threshold = 1000;
     OnlineTarget interp_only(kind, {}, cold);
     load_or_die(interp_only, m);
     expect_matches_interpreter(interp_only, m, "saxpy", saxpy_args, setup);
     expect_matches_interpreter(interp_only, m, "vdot_f32", dot_args, setup);
-    EXPECT_EQ(interp_only.jitted_calls(), 0u);
+    EXPECT_EQ(interp_only.tier_counters().jitted, 0u);
 
     // And the promoted target's simulated cycles equal eager's: the same
     // artifact bits run in both.
@@ -238,7 +239,7 @@ TEST(TieredTarget, BitIdenticalToEagerForEveryTargetKind) {
     setup(tiered_mem);
     const SimResult tiered_dot = tiered.run("vdot_f32", dot_args, tiered_mem);
     ASSERT_TRUE(tiered_dot.ok());
-    EXPECT_FALSE(tiered_dot.interpreted);
+    EXPECT_NE(tiered_dot.tier, 0);
     EXPECT_EQ(tiered_dot.stats.cycles, eager_dot.stats.cycles);
     EXPECT_EQ(tiered_dot.value, eager_dot.value);
   }
@@ -248,8 +249,8 @@ TEST(TieredTarget, PromotionThresholdCountsCalls) {
   Module m = build_call_module();
   expect_verifies(m);
   OnlineTarget::Config config;
-  config.mode = LoadMode::Tiered;
-  config.promote_threshold = 3;
+  config.tiers.mode = LoadMode::Tiered;
+  config.tiers.promote_threshold = 3;
   OnlineTarget target(TargetKind::X86Sim, {}, config);
   load_or_die(target, m);
   Memory mem(1 << 16);
@@ -259,7 +260,7 @@ TEST(TieredTarget, PromotionThresholdCountsCalls) {
   for (int call = 0; call < 2; ++call) {
     const SimResult r = target.run("combine", args, mem);
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r.interpreted);
+    EXPECT_EQ(r.tier, 0);
     EXPECT_EQ(r.value.i32, 5 + 2 + 3 + 4);
     EXPECT_GT(r.stats.cycles, 0u);  // interpreter cost model charges steps
   }
@@ -271,11 +272,11 @@ TEST(TieredTarget, PromotionThresholdCountsCalls) {
   // and promotion covers the callee (add2) too.
   const SimResult r3 = target.run("combine", args, mem);
   ASSERT_TRUE(r3.ok());
-  EXPECT_FALSE(r3.interpreted);
+  EXPECT_EQ(r3.tier, 1);
   EXPECT_EQ(r3.value.i32, 14);
   EXPECT_TRUE(target.jit_ready(*combine_idx));
-  EXPECT_EQ(target.interpreted_calls(), 2u);
-  EXPECT_EQ(target.jitted_calls(), 1u);
+  EXPECT_EQ(target.tier_counters().interpreted, 2u);
+  EXPECT_EQ(target.tier_counters().jitted, 1u);
   EXPECT_GT(target.code_bytes(), 0u);
 }
 
@@ -286,7 +287,7 @@ TEST(TieredTarget, BackgroundPromotionViaPool) {
   ThreadPool pool(2);
   CodeCache cache;
   OnlineTarget::Config config;
-  config.mode = LoadMode::Tiered;
+  config.tiers.mode = LoadMode::Tiered;
   config.cache = &cache;
   config.pool = &pool;
   OnlineTarget target(TargetKind::PpcSim, {}, config);
@@ -305,7 +306,7 @@ TEST(TieredTarget, BackgroundPromotionViaPool) {
   ASSERT_TRUE(target.jit_ready(0));
   const SimResult warm = target.run("pressure16", {Value::make_i32(0)}, mem);
   ASSERT_TRUE(warm.ok());
-  EXPECT_FALSE(warm.interpreted);
+  EXPECT_NE(warm.tier, 0);
   EXPECT_EQ(warm.value.i32, 48);
   EXPECT_EQ(cache.stats().get("cache.compiles"), 1);
 }
@@ -348,11 +349,11 @@ TEST(SocCache, SameKindCoresCompileEachFunctionOnce) {
 TEST(SocCache, PrefetchWarmsTopRankedCoreOnly) {
   const Module m = value_or_die(compile_module(fir_source()));
   SocOptions options;
-  options.mode = LoadMode::Tiered;
+  options.tiers.mode = LoadMode::Tiered;
   options.prefetch = true;
   options.pool_threads = 2;
   Soc soc({{TargetKind::PpcSim, false}, {TargetKind::SpuSim, true}}, 1 << 20,
-          options);
+          {}, options);
   load_or_die(soc, m);
   soc.wait_warmup();
 
@@ -380,16 +381,16 @@ TEST(SocCache, ConcurrentWarmupAndRunIsRaceFree) {
   expect_verifies(m);
 
   SocOptions options;
-  options.mode = LoadMode::Tiered;
+  options.tiers.mode = LoadMode::Tiered;
   options.prefetch = true;
-  options.profile = true;
-  options.tier2_threshold = 3;
+  options.tiers.profile = true;
+  options.tiers.tier2_threshold = 3;
   options.pool_threads = 3;
   Soc soc({{TargetKind::X86Sim, false},
            {TargetKind::X86Sim, false},
            {TargetKind::PpcSim, false},
            {TargetKind::SpuSim, true}},
-          1 << 16, options);
+          1 << 16, {}, options);
   for (uint32_t i = 0; i < 16; ++i) soc.memory().write_i32(4 * i, 7);
   load_or_die(soc, m);
 
@@ -419,13 +420,55 @@ TEST(SocCache, ConcurrentWarmupAndRunIsRaceFree) {
   for (size_t c = 0; c < soc.num_cores(); ++c) {
     const SimResult r = soc.run_on(c, "pressure16", {Value::make_i32(0)});
     ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(r.interpreted);
-    interpreted += soc.core(c).interpreted_calls();
-    jitted += soc.core(c).jitted_calls();
+    EXPECT_NE(r.tier, 0);
+    const TierCounters counters = soc.core(c).tier_counters();
+    interpreted += counters.interpreted;
+    jitted += counters.jitted;
   }
   EXPECT_EQ(interpreted + jitted,
             static_cast<uint64_t>(kThreads * kCallsPerThread) +
                 soc.num_cores());
+}
+
+TEST(SocCache, JitStatsPollRacesTierUpSafely) {
+  // jit_stats() and jit_seconds() snapshot under the core's lock, so a
+  // monitor may poll them while tier-up installs artifacts (and merges
+  // their stats) on another thread. The TSan CI job runs this binary.
+  constexpr int kFunctions = 40;
+  std::string source;
+  for (int f = 0; f < kFunctions; ++f) {
+    source += "fn f" + std::to_string(f) + "(x: i32) -> i32 { return x * " +
+              std::to_string(f + 2) + " + 1; }\n";
+  }
+  const Module m = value_or_die(compile_module(source));
+  SocOptions options;
+  options.tiers.mode = LoadMode::Tiered;
+  Soc soc({{TargetKind::X86Sim, false}}, 1 << 12, {}, options);
+  load_or_die(soc, m);
+
+  std::atomic<bool> promoting{true};
+  std::thread promoter([&] {
+    // Threshold 1 and no pool: each first call compiles and installs.
+    for (uint32_t f = 0; f < kFunctions; ++f) {
+      (void)soc.run_on(0, f, {Value::make_i32(3)});
+    }
+    promoting.store(false, std::memory_order_release);
+  });
+  int64_t last_bytes = 0;
+  bool monotone = true;
+  while (promoting.load(std::memory_order_acquire)) {
+    const int64_t bytes = soc.core(0).jit_stats().get("jit.code_bytes");
+    monotone = monotone && bytes >= last_bytes;
+    last_bytes = bytes;
+    (void)soc.core(0).jit_seconds();
+  }
+  promoter.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(soc.core(0).jit_stats().get("jit.code_bytes"),
+            static_cast<int64_t>(soc.core(0).code_bytes()));
+  EXPECT_GT(soc.core(0).jit_seconds(), 0.0);
+  EXPECT_EQ(soc.core(0).tier_counters().jitted,
+            static_cast<uint64_t>(kFunctions));
 }
 
 TEST(SocCache, DestructionWithInFlightCompilesIsSafe) {
@@ -435,11 +478,11 @@ TEST(SocCache, DestructionWithInFlightCompilesIsSafe) {
   const Module m = value_or_die(compile_module(fir_source()));
   for (int round = 0; round < 5; ++round) {
     SocOptions options;
-    options.mode = LoadMode::Tiered;
+    options.tiers.mode = LoadMode::Tiered;
     options.prefetch = true;
     options.pool_threads = 2;
     Soc soc({{TargetKind::X86Sim, false}, {TargetKind::PpcSim, false}},
-            1 << 16, options);
+            1 << 16, {}, options);
     load_or_die(soc, m);
     // No wait_warmup(): the Soc dies with compiles in flight.
   }
@@ -447,7 +490,7 @@ TEST(SocCache, DestructionWithInFlightCompilesIsSafe) {
 
 TEST(TieredTarget, QueriesBeforeLoadAreSafe) {
   OnlineTarget::Config config;
-  config.mode = LoadMode::Tiered;
+  config.tiers.mode = LoadMode::Tiered;
   OnlineTarget target(TargetKind::X86Sim, {}, config);
   EXPECT_FALSE(target.jit_ready(0));
   target.request_compile(0);  // no-op, not UB

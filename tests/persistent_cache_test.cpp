@@ -263,11 +263,11 @@ TEST(PersistentCache, WarmBootBitIdenticalOnAllTargets) {
   }
 
   SocOptions options;
-  options.mode = LoadMode::Eager;
+  options.tiers.mode = LoadMode::Eager;
   options.persistent_cache_path = tmp.dir;
 
   // Boot 1: compiles everything, writes everything back.
-  Soc cold(cores, 1 << 20, options);
+  Soc cold(cores, 1 << 20, {}, options);
   load_or_die(cold, module);
   const int64_t n_artifacts = cold.code_cache().stats().get("cache.compiles");
   EXPECT_EQ(n_artifacts,
@@ -277,7 +277,7 @@ TEST(PersistentCache, WarmBootBitIdenticalOnAllTargets) {
 
   // Boot 2: a fresh Soc against the same store loads everything from
   // disk -- zero CompileFn invocations.
-  Soc warm(cores, 1 << 20, options);
+  Soc warm(cores, 1 << 20, {}, options);
   load_or_die(warm, module);
   EXPECT_EQ(warm.code_cache().stats().get("cache.compiles"), 0);
   EXPECT_EQ(warm.code_cache().stats().get("cache.disk_hits"), n_artifacts);

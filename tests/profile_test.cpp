@@ -361,10 +361,10 @@ TEST(Tier2, BitIdenticalAcrossAllTiersOnEveryTarget) {
 
   for (const TargetKind kind : all_targets()) {
     OnlineTarget::Config config;
-    config.mode = LoadMode::Tiered;
-    config.promote_threshold = 2;  // call 1 interprets (and profiles)
-    config.profile = true;
-    config.tier2_threshold = 2;  // second JITed call re-specializes
+    config.tiers.mode = LoadMode::Tiered;
+    config.tiers.promote_threshold = 2;  // call 1 interprets (and profiles)
+    config.tiers.profile = true;
+    config.tiers.tier2_threshold = 2;  // second JITed call re-specializes
     OnlineTarget target(kind, {}, config);
     load_or_die(target, m);
 
@@ -378,10 +378,11 @@ TEST(Tier2, BitIdenticalAcrossAllTiersOnEveryTarget) {
       expect_matches_interpreter(target, m, fn, args, setup, 2);
       expect_matches_interpreter(target, m, fn, args, setup, 2);
     }
-    EXPECT_EQ(target.tier2_functions(), 2u) << target_desc(kind).name;
-    EXPECT_EQ(target.interpreted_calls(), 2u);
-    EXPECT_EQ(target.jitted_calls(), 6u);
-    EXPECT_EQ(target.tier2_calls(), 4u);
+    const TierCounters counters = target.tier_counters();
+    EXPECT_EQ(counters.tier2_functions, 2u) << target_desc(kind).name;
+    EXPECT_EQ(counters.interpreted, 2u);
+    EXPECT_EQ(counters.jitted, 6u);
+    EXPECT_EQ(counters.tier2, 4u);
     // The tier-0 runs actually profiled: the re-specialization had data.
     EXPECT_FALSE(target.profile().empty());
   }
@@ -393,9 +394,10 @@ TEST(Tier2, ArtifactsCoexistInCacheAndAreShared) {
   expect_verifies(m);
   CodeCache cache;
   OnlineTarget::Config config;
-  config.mode = LoadMode::Tiered;
-  config.promote_threshold = 1;  // straight to tier 1 (profile stays empty)
-  config.tier2_threshold = 2;
+  config.tiers.mode = LoadMode::Tiered;
+  // Straight to tier 1 (the profile stays empty).
+  config.tiers.promote_threshold = 1;
+  config.tiers.tier2_threshold = 2;
   config.cache = &cache;
 
   const auto setup = [](Memory& mem) {
@@ -411,7 +413,7 @@ TEST(Tier2, ArtifactsCoexistInCacheAndAreShared) {
   setup(mem);
   ASSERT_TRUE(first.run("saxpy", args, mem).ok());  // tier-1 compile
   ASSERT_TRUE(first.run("saxpy", args, mem).ok());  // tier-2 compile
-  EXPECT_EQ(first.tier2_functions(), 1u);
+  EXPECT_EQ(first.tier_counters().tier2_functions, 1u);
   // Two distinct entries: the keys differ in tier, so the artifacts
   // coexist (and would evict independently).
   EXPECT_EQ(cache.num_entries(), 2u);
@@ -423,7 +425,7 @@ TEST(Tier2, ArtifactsCoexistInCacheAndAreShared) {
   load_or_die(second, m);
   ASSERT_TRUE(second.run("saxpy", args, mem).ok());
   ASSERT_TRUE(second.run("saxpy", args, mem).ok());
-  EXPECT_EQ(second.tier2_functions(), 1u);
+  EXPECT_EQ(second.tier_counters().tier2_functions, 1u);
   EXPECT_EQ(cache.stats().get("cache.compiles"), 2);
   EXPECT_EQ(cache.stats().get("cache.hits"), 2);
 }
@@ -450,9 +452,9 @@ TEST(ProfileLoop, ExportReimportSeedsIterativeTuner) {
   //    observes the workload.
   const Module deployed = value_or_die(compile_module(kernel.source));
   OnlineTarget::Config config;
-  config.mode = LoadMode::Tiered;
-  config.promote_threshold = 1u << 30;
-  config.profile = true;
+  config.tiers.mode = LoadMode::Tiered;
+  config.tiers.promote_threshold = 1u << 30;
+  config.tiers.profile = true;
   OnlineTarget device(TargetKind::X86Sim, {}, config);
   load_or_die(device, deployed);
   Memory mem(1 << 20);
@@ -537,11 +539,11 @@ TEST(ProfileLoop, SocMergesAndExportsAcrossCores) {
   expect_verifies(m);
 
   SocOptions options;
-  options.mode = LoadMode::Tiered;
-  options.promote_threshold = 1u << 30;  // stay at tier 0: collect
-  options.profile = true;
+  options.tiers.mode = LoadMode::Tiered;
+  options.tiers.promote_threshold = 1u << 30;  // stay at tier 0: collect
+  options.tiers.profile = true;
   Soc soc({{TargetKind::X86Sim, false}, {TargetKind::PpcSim, false}}, 1 << 16,
-          options);
+          {}, options);
   load_or_die(soc, m);
   for (uint32_t i = 0; i < 16; ++i) soc.memory().write_i32(4 * i, 3);
   ASSERT_TRUE(soc.run_on(0, "pressure16", {Value::make_i32(0)}).ok());

@@ -10,6 +10,7 @@
 //     trigger alone,
 //   - the ServerStats identities hold once traffic has quiesced,
 //   - destruction resolves every accepted future (none are broken),
+//   - tier-counter snapshots stay consistent while traffic runs,
 //   - the Deployment::warm_up contract: jobs never dangle, and the
 //     returned future stays waitable past the Deployment.
 //
@@ -280,10 +281,10 @@ TEST(ServerTest, SubmitStormBitIdenticalToSequentialRunAllTargets) {
   EXPECT_EQ(core_executed, total);
 
   // The per-shard runtime counters agree with the deployment's sum.
-  const Deployment::TierCounters tiers = server.deployment().tier_counters();
+  const TierCounters tiers = server.deployment().tier_counters();
   uint64_t interp = 0, jitted = 0;
   for (size_t c = 0; c < server.num_cores(); ++c) {
-    const Deployment::TierCounters shard =
+    const TierCounters shard =
         value_or_die(server.deployment().tier_counters_on(c));
     interp += shard.interpreted;
     jitted += shard.jitted;
@@ -383,7 +384,7 @@ TEST(ServerTest, BatchedAggregateTrafficPromotesToTier2) {
   EXPECT_GT(served->tier2, 0u)
       << "aggregate traffic must reach tier 2 (no client crossed the "
          "thresholds alone)";
-  EXPECT_GT(stats.cores[0].tier2_calls, 0u);
+  EXPECT_GT(stats.cores[0].tiers.tier2, 0u);
   EXPECT_EQ(server.deployment().tier_counters().tier2_functions, 1u);
 }
 
@@ -458,6 +459,57 @@ TEST(ServerTest, WorkerCountClampsToCores) {
   EXPECT_EQ(server.num_cores(), 2u);
   EXPECT_EQ(server.num_workers(), 2u)
       << "each core is drained by exactly one worker";
+}
+
+// --- tier counters under traffic -------------------------------------------
+
+TEST(DeploymentTierCountersTest, SnapshotNeverTearsUnderTraffic) {
+  // Every call counts as interpreted or jitted, and every tier-2 call is
+  // also a jitted one, so tier2 <= jitted must hold in each snapshot --
+  // also one taken while other threads are mid-call. With tier2(1) all
+  // but the first jitted call run at tier 2, so a snapshot assembled from
+  // separately locked reads breaks the rule within milliseconds.
+  const Engine engine =
+      value_or_die(Engine::Builder().tiered(1).tier2(1).build());
+  const ModuleHandle module =
+      value_or_die(engine.compile("fn f(x: i32) -> i32 { return x + 1; }"));
+  Deployment dep =
+      value_or_die(engine.deploy(module, {{TargetKind::X86Sim, false}}));
+
+  constexpr int kThreads = 3;
+  constexpr int kCallsPerThread = 4000;
+  std::atomic<int> running{kThreads};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> traffic;
+  traffic.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    traffic.emplace_back([&, t] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        const Result<SimResult> r =
+            dep.run_on(0, "f", {Value::make_i32(t * kCallsPerThread + i)});
+        if (!r.ok() || r->value.i32 != t * kCallsPerThread + i + 1) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  uint64_t polls = 0, torn = 0;
+  while (running.load(std::memory_order_acquire) > 0) {
+    const TierCounters c = value_or_die(dep.tier_counters_on(0));
+    ++polls;
+    if (c.tier2 > c.jitted) ++torn;
+  }
+  for (auto& t : traffic) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(torn, 0u) << "of " << polls << " snapshots showed tier2 > jitted";
+
+  const TierCounters done = value_or_die(dep.tier_counters_on(0));
+  EXPECT_EQ(done.interpreted + done.jitted,
+            static_cast<uint64_t>(kThreads * kCallsPerThread));
+  EXPECT_LE(done.tier2, done.jitted);
+  EXPECT_EQ(done.tier2_functions, 1u);
 }
 
 // --- the warm_up contract (api/deployment.h fix) ---------------------------
