@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <span>
 
 #include "bytecode/verifier.h"
 #include "runtime/profile_guided.h"
@@ -62,9 +63,10 @@ void OnlineTarget::drain_pending() {
   std::vector<std::shared_future<CodeCache::Artifact>> pending;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (FuncState& st : states_) {
-      if (st.pending.valid()) pending.push_back(st.pending);
-      if (st.tier2_pending.valid()) pending.push_back(st.tier2_pending);
+    for (const FuncState& st : states_) {
+      for (const TierSlot& slot : st.tiers) {
+        if (slot.pending.valid()) pending.push_back(slot.pending);
+      }
     }
   }
   for (const auto& future : pending) future.wait();
@@ -92,36 +94,23 @@ Result<void> OnlineTarget::load_module(std::shared_ptr<const Module> module) {
   std::lock_guard<std::mutex> lock(mutex_);
   module_ = std::move(module);
   const Module& mod = *module_;
+  const uint32_t n = static_cast<uint32_t>(mod.num_functions());
   jit_stats_.clear();
   jit_seconds_ = 0.0;
   counters_ = {};
-  code_.clear();
-  states_.clear();
-  image_.reset();
-  profile_.reset(config_.tiers.profile ? mod.num_functions() : 0);
-
-  const uint32_t n = static_cast<uint32_t>(mod.num_functions());
-  if (config_.tiers.mode == LoadMode::Tiered) {
-    // No compilation now: empty slots are filled as artifacts install.
-    code_.resize(n);
-    states_.resize(n);
-    image_ = std::make_shared<std::vector<MFunction>>(code_);
-    const auto callees = callee_graph(mod);
-    for (uint32_t i = 0; i < n; ++i) {
-      states_[i].reachable = reachable_functions(callees, i);
-    }
-    return {};
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  code_.reserve(n);
+  states_.assign(n, FuncState{});
+  image_ = std::make_shared<std::vector<MFunction>>(n);
+  profile_.reset(config_.tiers.profile ? n : 0);
+  const auto callees = callee_graph(mod);
   for (uint32_t i = 0; i < n; ++i) {
-    const CodeCache::Artifact artifact = compile_artifact(i);
-    jit_stats_.merge(artifact->stats);
-    code_.push_back(artifact->code);
+    states_[i].reachable = reachable_functions(callees, i);
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  jit_seconds_ = std::chrono::duration<double>(t1 - t0).count();
+
+  // Eager: every tier-1 slot is requested now and compiled on the calling
+  // thread, so load returns with the whole image installed.
+  if (config_.tiers.mode == LoadMode::Eager) {
+    for (uint32_t i = 0; i < n; ++i) request_locked(i, 1, nullptr);
+  }
   return {};
 }
 
@@ -139,71 +128,53 @@ SimResult OnlineTarget::run(uint32_t func_idx, const std::vector<Value>& args,
   if (!module_) fatal("OnlineTarget::run before load");
   assert(func_idx < module_->num_functions());
 
-  if (config_.tiers.mode == LoadMode::Tiered) {
-    bool use_jit = true;
-    uint8_t tier = 1;
-    std::shared_ptr<const std::vector<MFunction>> image;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      FuncState& st = states_[func_idx];
-      ++st.calls;
-      if (!st.requested && st.calls >= config_.tiers.promote_threshold) {
-        request_compile_locked(func_idx);
-      }
-      for (const uint32_t r : st.reachable) {
-        poll_install_locked(r);
-        use_jit = use_jit && states_[r].installed;
-      }
-      if (use_jit) {
-        ++counters_.jitted;
-        ++st.jit_calls;
-        if (config_.tiers.tier2_threshold > 0 && !st.tier2_requested &&
-            st.jit_calls >= config_.tiers.tier2_threshold) {
-          request_tier2_locked(func_idx);
-        }
-        poll_tier2_locked(func_idx);
-        if (st.tier2_installed) {
-          tier = 2;
-          ++counters_.tier2;
-        }
-        image = image_;
-      } else {
-        ++counters_.interpreted;
-      }
+  uint8_t tier = 0;
+  std::shared_ptr<const std::vector<MFunction>> image;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    FuncState& st = states_[func_idx];
+    ++st.calls;
+    if (st.calls >= config_.tiers.promote_threshold) {
+      request_locked(func_idx, 1, config_.pool);
     }
-    // Execution happens outside the lock on the snapshot taken inside it:
-    // tier-1 installs only fill slots this run cannot reach yet, and a
-    // tier-2 install swaps in a *new* image rather than mutating ours.
-    if (!use_jit) return interpret(func_idx, args, memory, step_budget);
-    Simulator sim(desc_, *image, memory);
-    sim.set_step_budget(step_budget);
-    SimResult result = sim.run(func_idx, args);
-    result.tier = tier;
-    return result;
+    if (tier1_ready_locked(func_idx)) {
+      tier = 1;
+      ++counters_.jitted;
+      ++st.jit_calls;
+      if (config_.tiers.tier2_threshold > 0 &&
+          st.jit_calls >= config_.tiers.tier2_threshold) {
+        request_locked(func_idx, 2, config_.pool);
+      }
+      poll_locked(func_idx, 2);
+      if (st.tiers[1].installed) {
+        tier = 2;
+        ++counters_.tier2;
+      }
+      image = image_;
+    } else {
+      ++counters_.interpreted;
+    }
   }
-
-  Simulator sim(desc_, code_, memory);
+  // Execution happens outside the lock on the snapshot taken inside it:
+  // tier-1 installs only fill slots this run cannot reach, and a tier-2
+  // install swaps in a *new* image rather than mutating ours.
+  if (tier == 0) return interpret(func_idx, args, memory, step_budget);
+  Simulator sim(desc_, *image, memory);
   sim.set_step_budget(step_budget);
-  return sim.run(func_idx, args);
+  SimResult result = sim.run(func_idx, args);
+  result.tier = tier;
+  return result;
 }
 
 void OnlineTarget::request_compile(uint32_t func_idx) {
-  if (config_.tiers.mode != LoadMode::Tiered || !module_) return;
   std::lock_guard<std::mutex> lock(mutex_);
   if (func_idx >= states_.size()) return;
-  request_compile_locked(func_idx);
+  request_locked(func_idx, 1, config_.pool);
 }
 
 bool OnlineTarget::jit_ready(uint32_t func_idx) {
-  if (config_.tiers.mode != LoadMode::Tiered) return module_ != nullptr;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (func_idx >= states_.size()) return false;
-  bool ready = true;
-  for (const uint32_t r : states_[func_idx].reachable) {
-    poll_install_locked(r);
-    ready = ready && states_[r].installed;
-  }
-  return ready;
+  return func_idx < states_.size() && tier1_ready_locked(func_idx);
 }
 
 Statistics OnlineTarget::jit_stats() const {
@@ -214,6 +185,11 @@ Statistics OnlineTarget::jit_stats() const {
 double OnlineTarget::jit_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return jit_seconds_;
+}
+
+std::shared_ptr<const std::vector<MFunction>> OnlineTarget::code() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return image_;
 }
 
 TierCounters OnlineTarget::tier_counters() const {
@@ -240,123 +216,108 @@ Module OnlineTarget::export_profiled_module() const {
 size_t OnlineTarget::code_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t total = 0;
-  for (const MFunction& fn : code_) total += fn.code_bytes();
+  for (const MFunction& fn : *image_) total += fn.code_bytes();
   return total;
 }
 
-CodeCache::Artifact OnlineTarget::compile_artifact(uint32_t func_idx) const {
+CodeCache::Artifact OnlineTarget::compile(uint32_t func_idx,
+                                          const JitOptions& options,
+                                          uint32_t tier,
+                                          uint64_t profile_hash) const {
+  const JitCompiler jit(desc_, options);
   if (config_.cache) {
-    const CodeCacheKey key{module_->id(), func_idx, desc_.kind,
-                           jit_.options().cache_key()};
+    const CodeCacheKey key{module_->id(),       func_idx, desc_.kind,
+                           options.cache_key(), tier,     profile_hash};
     return config_.cache->get_or_compile(
-        key, [this, func_idx] { return jit_.compile(*module_, func_idx); });
+        key, [&] { return jit.compile(*module_, func_idx); });
   }
-  return std::make_shared<const JitArtifact>(jit_.compile(*module_, func_idx));
+  return std::make_shared<const JitArtifact>(jit.compile(*module_, func_idx));
 }
 
-void OnlineTarget::request_compile_locked(uint32_t func_idx) {
-  // Requesting a function requests its whole reachable set: tier-up needs
-  // every callee installed before the simulator may run the caller.
-  for (const uint32_t r : states_[func_idx].reachable) {
-    FuncState& st = states_[r];
-    if (st.requested) continue;
-    st.requested = true;
-    if (config_.pool) {
-      st.pending =
-          config_.pool->submit([this, r] { return compile_artifact(r); })
-              .share();
+void OnlineTarget::request_locked(uint32_t func_idx, uint32_t tier,
+                                  ThreadPool* pool) {
+  // A requested slot implies its whole request was made: a tier-1 request
+  // covers the function's reachable set, whose members' own reachable sets
+  // it contains.
+  if (states_[func_idx].tiers[tier - 1].requested) return;
+  JitOptions options = jit_.options();
+  uint64_t profile_hash = 0;
+  // Tier 1 requests the whole reachable set: the simulator may only run a
+  // function once every callee has code. Tier 2 re-specializes just the
+  // hot function, over callees that already have theirs.
+  std::span<const uint32_t> funcs = states_[func_idx].reachable;
+  if (tier == 2) {
+    funcs = std::span<const uint32_t>(&func_idx, 1);
+    // Freeze the profile the re-specialization is derived from: the hash
+    // keys the cache entry, so later observations produce a *different*
+    // tier-2 artifact instead of silently aliasing this one. Own
+    // observations plus the externally seeded baseline (seed_profile), so
+    // a cluster-seeded target specializes for fleet traffic.
+    ProfileInfo profile = func_idx < profile_.num_functions()
+                              ? profile_.function(func_idx)
+                              : ProfileInfo{};
+    if (func_idx < seed_profile_.num_functions()) {
+      profile.merge(seed_profile_.function(func_idx));
+    }
+    options = derive_tier2_options(options, desc_, module_->function(func_idx),
+                                   profile);
+    profile_hash = profile.hash();
+  }
+  for (const uint32_t f : funcs) {
+    TierSlot& slot = states_[f].tiers[tier - 1];
+    if (slot.requested) continue;
+    slot.requested = true;
+    if (pool) {
+      slot.pending = pool->submit([this, f, options, tier, profile_hash] {
+                           return compile(f, options, tier, profile_hash);
+                         }).share();
     } else {
-      install_locked(r, *compile_artifact(r));
+      install_locked(f, tier, *compile(f, options, tier, profile_hash));
     }
   }
 }
 
-void OnlineTarget::request_tier2_locked(uint32_t func_idx) {
-  FuncState& st = states_[func_idx];
-  st.tier2_requested = true;
-  // Freeze the profile the re-specialization is derived from: the hash
-  // keys the cache entry, so later observations produce a *different*
-  // tier-2 artifact instead of silently aliasing this one. Own
-  // observations plus the externally seeded baseline (seed_profile), so
-  // a cluster-seeded target specializes for fleet traffic.
-  ProfileInfo profile = func_idx < profile_.num_functions()
-                            ? profile_.function(func_idx)
-                            : ProfileInfo{};
-  if (func_idx < seed_profile_.num_functions()) {
-    profile.merge(seed_profile_.function(func_idx));
-  }
-  const JitOptions tier2 = derive_tier2_options(
-      jit_.options(), desc_, module_->function(func_idx), profile);
-  const uint64_t profile_hash = profile.hash();
-  const auto compile_job = [this, func_idx, tier2,
-                            profile_hash]() -> CodeCache::Artifact {
-    const JitCompiler tier2_jit(desc_, tier2);
-    if (config_.cache) {
-      const CodeCacheKey key{module_->id(),     func_idx, desc_.kind,
-                             tier2.cache_key(), 2,        profile_hash};
-      return config_.cache->get_or_compile(key, [&] {
-        return tier2_jit.compile(*module_, func_idx);
-      });
-    }
-    return std::make_shared<const JitArtifact>(
-        tier2_jit.compile(*module_, func_idx));
-  };
-  if (config_.pool) {
-    st.tier2_pending = config_.pool->submit(compile_job).share();
-  } else {
-    install_tier2_locked(func_idx, *compile_job());
-  }
-}
-
-void OnlineTarget::poll_install_locked(uint32_t func_idx) {
-  FuncState& st = states_[func_idx];
-  if (st.installed || !st.requested || !st.pending.valid()) return;
-  if (st.pending.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
+void OnlineTarget::poll_locked(uint32_t func_idx, uint32_t tier) {
+  TierSlot& slot = states_[func_idx].tiers[tier - 1];
+  if (slot.installed || !slot.pending.valid() ||
+      slot.pending.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready) {
     return;
   }
-  install_locked(func_idx, *st.pending.get());
-  st.pending = {};
+  install_locked(func_idx, tier, *slot.pending.get());
+  slot.pending = {};
 }
 
-void OnlineTarget::poll_tier2_locked(uint32_t func_idx) {
-  FuncState& st = states_[func_idx];
-  if (st.tier2_installed || !st.tier2_requested || !st.tier2_pending.valid()) {
-    return;
-  }
-  if (st.tier2_pending.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    return;
-  }
-  install_tier2_locked(func_idx, *st.tier2_pending.get());
-  st.tier2_pending = {};
-}
-
-void OnlineTarget::install_locked(uint32_t func_idx,
+void OnlineTarget::install_locked(uint32_t func_idx, uint32_t tier,
                                   const JitArtifact& artifact) {
-  code_[func_idx] = artifact.code;
-  // In-place image write: this slot is empty and unreachable by any run
-  // in flight (tier-up requires the whole reachable set installed), so no
-  // snapshot holder can be reading it.
-  (*image_)[func_idx] = artifact.code;
+  if (tier == 1) {
+    // In-place image write: this slot is empty and unreachable by any run
+    // in flight (serving from JITed code requires the whole reachable set
+    // installed), so no snapshot holder can be reading it.
+    (*image_)[func_idx] = artifact.code;
+  } else {
+    // Copy-on-write: the replaced slot may be executing right now in a run
+    // that snapshotted the current image, so swap in a fresh vector instead
+    // of mutating the shared one. Tier-2 installs are rare (once per hot
+    // function), so the full copy amortizes to nothing.
+    auto image = std::make_shared<std::vector<MFunction>>(*image_);
+    (*image)[func_idx] = artifact.code;
+    image_ = std::move(image);
+    jit_stats_.add("jit.tier2_installs", 1);
+    ++counters_.tier2_functions;
+  }
   jit_stats_.merge(artifact.stats);
   jit_seconds_ += artifact.compile_seconds;
-  states_[func_idx].installed = true;
+  states_[func_idx].tiers[tier - 1].installed = true;
 }
 
-void OnlineTarget::install_tier2_locked(uint32_t func_idx,
-                                        const JitArtifact& artifact) {
-  code_[func_idx] = artifact.code;
-  // Copy-on-write: the replaced slot may be executing right now in a run
-  // that snapshotted the current image, so swap in a fresh vector instead
-  // of mutating the shared one. Tier-2 installs are rare (once per hot
-  // function), so the full copy amortizes to nothing.
-  image_ = std::make_shared<std::vector<MFunction>>(code_);
-  jit_stats_.merge(artifact.stats);
-  jit_stats_.add("jit.tier2_installs", 1);
-  jit_seconds_ += artifact.compile_seconds;
-  states_[func_idx].tier2_installed = true;
-  ++counters_.tier2_functions;
+bool OnlineTarget::tier1_ready_locked(uint32_t func_idx) {
+  bool ready = true;
+  for (const uint32_t r : states_[func_idx].reachable) {
+    poll_locked(r, 1);
+    ready = ready && states_[r].tiers[0].installed;
+  }
+  return ready;
 }
 
 SimResult OnlineTarget::interpret(uint32_t func_idx,

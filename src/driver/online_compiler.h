@@ -1,23 +1,25 @@
 // A deployed target: the device-side pairing of a JIT compiler and its
-// simulated core, run as a *tiered* runtime. Eager mode keeps the original
-// install-time behavior (load JIT-compiles every function before the first
-// instruction runs); tiered mode starts executing immediately in the
-// reference interpreter (tier 0) and promotes a function to its JITed
-// artifact (tier 1) once a background compile -- shared through an
-// optional CodeCache and ThreadPool -- has finished. This is what
+// simulated core, run as a *tiered* runtime. Each function has two slots,
+// tier 1 (the fast JIT) and tier 2 (the profile-guided recompile), each
+// requested -> pending -> installed into the target's one code image.
+// Eager mode requests every tier-1 slot during load; tiered mode starts
+// executing immediately in the reference interpreter (tier 0) and requests
+// a function once it is called promote_threshold times, compiling in the
+// background through an optional CodeCache and ThreadPool. This is what
 // "shipping the same bytecode to three machines" looks like when the
 // machines also have to start up fast.
 //
 // The runtime also observes itself: with tiers.profile the tier-0
 // interpreter collects ProfileData (calls, branch bias, trip counts,
 // vector widths), and with tiers.tier2_threshold > 0 functions hot at
-// tier 1 are *re*-specialized -- the JIT re-runs with profile-derived
+// tier 1 request their tier-2 slot -- the JIT re-runs with profile-derived
 // options (runtime/profile_guided.h) and the tier-2 artifact replaces the
-// tier-1 code under a copy-on-write code image, so in-flight executions
-// keep their snapshot. export_profiled_module() hands the observations
-// back to the offline side. Results are bit-identical across all tiers.
+// tier-1 code copy-on-write, so in-flight executions keep their snapshot
+// of the image. export_profiled_module() hands the observations back to
+// the offline side. Results are bit-identical across all tiers.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -90,8 +92,9 @@ struct OnlineTargetConfig {
 /// Calls served per tier since load, one snapshot taken under one lock:
 /// `interpreted` by tier 0, `jitted` by JITed code (tier 1 or 2), `tier2`
 /// by a tier-2 re-specialized artifact (a subset of `jitted`), plus the
-/// number of functions with a tier-2 artifact installed. Eager targets do
-/// no tier bookkeeping and report zeros. Deployment sums it over cores.
+/// number of functions with a tier-2 artifact installed. Eager targets run
+/// the same state machine, so every call they serve counts as `jitted`.
+/// Deployment sums it over cores.
 struct TierCounters {
   uint64_t interpreted = 0;
   uint64_t jitted = 0;
@@ -115,17 +118,24 @@ class OnlineTarget {
   [[nodiscard]] const MachineDesc& desc() const { return desc_; }
   [[nodiscard]] const JitOptions& options() const { return jit_.options(); }
   [[nodiscard]] LoadMode mode() const { return config_.tiers.mode; }
-  /// JIT counters and compile time of the installed code. Snapshots taken
-  /// under the target's lock, so safe while tier-up installs more code.
+  /// JIT counters of the installed code, and the sum of the installed
+  /// artifacts' compile_seconds (a cache hit reports the time its artifact
+  /// took to compile). Snapshots taken under the target's lock, so safe
+  /// while tier-up installs more code.
   [[nodiscard]] Statistics jit_stats() const;
   [[nodiscard]] double jit_seconds() const;
-  [[nodiscard]] const std::vector<MFunction>& code() const { return code_; }
+  /// Snapshot of the code image, one slot per function (empty until that
+  /// function's tier-1 slot installs), taken under the lock. A tier-2
+  /// install swaps in a new image, so the snapshot's installed slots never
+  /// change; a later tier-1 install fills an empty slot in place, so read
+  /// a slot only once jit_ready() says it is installed.
+  [[nodiscard]] std::shared_ptr<const std::vector<MFunction>> code() const;
 
-  /// Verifies `module` and prepares it for execution: eager mode
-  /// JIT-compiles every function now, tiered mode defers to
-  /// run()/request_compile(). An invalid module is reported through the
-  /// Result (never executed, never fatal); the target keeps its previous
-  /// module in that case.
+  /// Verifies `module` and prepares it for execution: eager mode requests
+  /// and installs every function's tier-1 slot now, on the calling thread;
+  /// tiered mode defers to run()/request_compile(). An invalid module is
+  /// reported through the Result (never executed, never fatal); the target
+  /// keeps its previous module in that case.
   ///
   /// Ownership: the target shares ownership of the module, so it stays
   /// alive as long as any target, Soc, Deployment, or ModuleHandle
@@ -138,8 +148,8 @@ class OnlineTarget {
   /// Runs a loaded function by name on `memory`. In tiered mode the call
   /// is served by the interpreter until the function and everything it
   /// can call have installed JITed code (result.tier tells which tier
-  /// ran); results are bit-identical across tiers. Thread-safe in
-  /// tiered mode for concurrent callers on disjoint memory.
+  /// ran); results are bit-identical across tiers. Thread-safe for
+  /// concurrent callers on disjoint memory.
   [[nodiscard]] SimResult run(std::string_view name,
                               const std::vector<Value>& args, Memory& memory,
                               uint64_t step_budget = kDefaultStepBudget);
@@ -152,13 +162,16 @@ class OnlineTarget {
                               const std::vector<Value>& args, Memory& memory,
                               uint64_t step_budget = kDefaultStepBudget);
 
-  /// Requests the background (or, without a pool, immediate) compile of
-  /// `func_idx` and every function it can reach, without running anything.
-  /// Used by Soc warm-up prefetch; no-op in eager mode.
+  /// Requests the tier-1 slot of `func_idx` and every function it can
+  /// reach -- a background (or, without a pool, immediate) compile --
+  /// without running anything. Used by Soc warm-up prefetch; requesting an
+  /// already-requested slot (every slot, in eager mode) does nothing.
   void request_compile(uint32_t func_idx);
 
-  /// True when the next run() of `func_idx` executes JITed code. Polls
-  /// pending compiles, so a false result may turn true moments later.
+  /// True when the next run() of `func_idx` executes JITed code, i.e. its
+  /// whole reachable set has tier 1 installed; false for an index out of
+  /// range. Polls pending compiles, so a false result may turn true
+  /// moments later.
   [[nodiscard]] bool jit_ready(uint32_t func_idx);
 
   /// Snapshot of the per-tier call counters (see TierCounters).
@@ -187,35 +200,41 @@ class OnlineTarget {
   /// OfflineOptions::profile.
   [[nodiscard]] Module export_profiled_module() const;
 
-  /// Total emitted code size (deployment footprint per target). In tiered
-  /// mode: installed artifacts only.
+  /// Total emitted code size of the installed artifacts (deployment
+  /// footprint per target).
   [[nodiscard]] size_t code_bytes() const;
 
  private:
-  struct FuncState {
-    uint32_t calls = 0;
+  // One tier of one function. `pending` is set while a background compile
+  // is in flight; a compile without a pool installs straight away.
+  struct TierSlot {
     bool requested = false;
     bool installed = false;
     std::shared_future<CodeCache::Artifact> pending;
-    // Calls answered by JITed code; drives the tier-2 promotion.
+  };
+
+  struct FuncState {
+    uint32_t calls = 0;
+    // Calls answered by JITed code; drives the tier-2 request.
     uint32_t jit_calls = 0;
-    bool tier2_requested = false;
-    bool tier2_installed = false;
-    std::shared_future<CodeCache::Artifact> tier2_pending;
+    // tiers[0] is tier 1, tiers[1] is tier 2.
+    std::array<TierSlot, 2> tiers;
     // This function plus its transitive callees: everything the simulator
-    // may execute when the function runs, so everything that must be
-    // installed before tier-up.
+    // may execute when the function runs, so everything that must have
+    // tier 1 installed before the function is served from JITed code.
     std::vector<uint32_t> reachable;
   };
 
-  [[nodiscard]] CodeCache::Artifact compile_artifact(uint32_t func_idx) const;
+  [[nodiscard]] CodeCache::Artifact compile(uint32_t func_idx,
+                                            const JitOptions& options,
+                                            uint32_t tier,
+                                            uint64_t profile_hash) const;
   void drain_pending();
-  void request_compile_locked(uint32_t func_idx);
-  void request_tier2_locked(uint32_t func_idx);
-  void poll_install_locked(uint32_t func_idx);
-  void poll_tier2_locked(uint32_t func_idx);
-  void install_locked(uint32_t func_idx, const JitArtifact& artifact);
-  void install_tier2_locked(uint32_t func_idx, const JitArtifact& artifact);
+  void request_locked(uint32_t func_idx, uint32_t tier, ThreadPool* pool);
+  void poll_locked(uint32_t func_idx, uint32_t tier);
+  void install_locked(uint32_t func_idx, uint32_t tier,
+                      const JitArtifact& artifact);
+  [[nodiscard]] bool tier1_ready_locked(uint32_t func_idx);
   [[nodiscard]] SimResult interpret(uint32_t func_idx,
                                     const std::vector<Value>& args,
                                     Memory& memory, uint64_t step_budget);
@@ -224,23 +243,22 @@ class OnlineTarget {
   JitCompiler jit_;
   Config config_;
   std::shared_ptr<const Module> module_;
-  std::vector<MFunction> code_;
-  Statistics jit_stats_;
-  double jit_seconds_ = 0.0;
-  // Tiered-mode state; guarded by mutex_ (eager mode is immutable after
-  // load and needs no locking on the run path).
-  mutable std::mutex mutex_;
-  std::vector<FuncState> states_;
-  // The code image handed to the simulator in tiered mode; run() grabs
-  // the shared_ptr under the lock and executes outside it. Tier-1
-  // installs write its slots in place -- safe, because they only fill
-  // entries no in-flight run can reach yet (promotion requires the whole
-  // reachable set installed). Tier-2 installs *replace* already-observed
-  // entries, so they copy-on-write: a fresh vector is swapped in and runs
-  // in flight keep executing the image they started with.
-  std::shared_ptr<std::vector<MFunction>> image_;
   // Fallback tier-0 stream cache when config_.predecode is not set.
   PredecodeCache predecode_;
+  // Everything below is guarded by mutex_.
+  mutable std::mutex mutex_;
+  Statistics jit_stats_;
+  double jit_seconds_ = 0.0;
+  std::vector<FuncState> states_;
+  // The one code image; run() grabs the shared_ptr under the lock and
+  // executes outside it. Tier-1 installs write their slot in place --
+  // safe, because they only fill entries no in-flight run can reach yet
+  // (serving from JITed code requires the whole reachable set installed).
+  // Tier-2 installs *replace* already-observed entries, so they
+  // copy-on-write: a fresh vector is swapped in and runs in flight keep
+  // executing the image they started with.
+  std::shared_ptr<std::vector<MFunction>> image_ =
+      std::make_shared<std::vector<MFunction>>();
   ProfileData profile_;
   // External baseline merged into tier-2 derivation only (seed_profile);
   // excluded from profile() so cross-collector merges stay exact.

@@ -272,7 +272,6 @@ class CellExecutor {
       return;
     }
     Deployment d = std::move(dep).value();
-    if (cell.tier == TierMode::Eager) d.warm_up().get();
 
     size_t n_runs = 1;
     if (cell.tier == TierMode::Tiered) n_runs = 3;   // cross promotion

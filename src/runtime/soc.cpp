@@ -50,7 +50,7 @@ Result<void> Soc::load_module(std::shared_ptr<const Module> module) {
   }
   module_ = std::move(module);
 
-  if (options_.tiers.mode == LoadMode::Tiered && options_.prefetch) {
+  if (options_.prefetch) {
     // Annotation-driven warm-up: each function is background-compiled only
     // on its top-ranked core -- the mapper's HardwareHints scoring applied
     // to install time. Same-kind cores share the resulting artifact via

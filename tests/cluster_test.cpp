@@ -376,8 +376,10 @@ TEST(ClusterTest, LeastLoadedSpreadsSameFunctionTraffic) {
   for (uint64_t i = 0; i < kRequests; ++i) {
     Result<SimResult> r = cluster.submit(fn, reduce_args()).get();
     ASSERT_TRUE(r.ok()) << r.error_text();
+    // A reply can arrive before its shard's in-flight count drops; drain
+    // so every pick sees settled counts instead of racing the worker.
+    cluster.drain();
   }
-  cluster.drain();
   const ClusterStats stats = cluster.stats();
   uint64_t min_routed = UINT64_MAX, max_routed = 0;
   for (const ShardStats& ss : stats.shards) {

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -309,6 +311,87 @@ TEST(TieredTarget, BackgroundPromotionViaPool) {
   EXPECT_NE(warm.tier, 0);
   EXPECT_EQ(warm.value.i32, 48);
   EXPECT_EQ(cache.stats().get("cache.compiles"), 1);
+}
+
+TEST(TieredTarget, EagerLoadEqualsWarmTieredState) {
+  // Eager load is the tier-1 request of every function, made at load: an
+  // eager target and a tiered target whose every function was requested
+  // hold the same image, footprint and JIT counters, and count calls the
+  // same way.
+  //
+  // pressure16 overcommits some targets' registers, so there its tier-2
+  // recompile switches allocator and replaces the tier-1 code.
+  Module m = build_call_module();
+  m.add_function(build_high_pressure());
+  expect_verifies(m);
+  const auto combine = m.find_function("combine");
+  const auto pressure = m.find_function("pressure16");
+  ASSERT_TRUE(combine.has_value() && pressure.has_value());
+  const auto n = static_cast<uint32_t>(m.num_functions());
+  const auto slots = [](const std::vector<MFunction>& image) {
+    std::vector<std::string> out;
+    for (const MFunction& fn : image) out.push_back(fn.str());
+    return out;
+  };
+  const auto counters = [](const Statistics& stats) {
+    // Per-pass wall timers differ from compile to compile; drop them.
+    std::map<std::string, int64_t> out;
+    for (const auto& [key, value] : stats.all()) {
+      if (key.find("pass_us.") == std::string::npos) out.emplace(key, value);
+    }
+    return out;
+  };
+  const std::vector<Value> args = {Value::make_i32(5)};
+
+  bool replaced = false;
+  for (const TargetKind kind : all_targets()) {
+    SCOPED_TRACE(target_desc(kind).name);
+    OnlineTarget eager(kind);
+    load_or_die(eager, m);
+    OnlineTarget::Config config;
+    config.tiers.mode = LoadMode::Tiered;
+    config.tiers.profile = true;
+    config.tiers.tier2_threshold = 1;
+    OnlineTarget tiered(kind, {}, config);
+    load_or_die(tiered, m);
+    for (uint32_t f = 0; f < n; ++f) tiered.request_compile(f);
+
+    const std::shared_ptr<const std::vector<MFunction>> warm = tiered.code();
+    const std::vector<std::string> warm_slots = slots(*warm);
+    EXPECT_EQ(slots(*eager.code()), warm_slots);
+    EXPECT_EQ(eager.code_bytes(), tiered.code_bytes());
+    EXPECT_EQ(counters(eager.jit_stats()), counters(tiered.jit_stats()));
+    for (OnlineTarget* target : {&eager, &tiered}) {
+      EXPECT_TRUE(target->jit_ready(*combine));
+      EXPECT_FALSE(target->jit_ready(n));
+    }
+
+    Memory mem(1 << 16);
+    constexpr uint64_t kCalls = 3;
+    for (uint64_t call = 0; call < kCalls; ++call) {
+      const SimResult r = eager.run(*combine, args, mem);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.tier, 1);
+      EXPECT_EQ(r.value.i32, 14);
+    }
+    const TierCounters eager_counters = eager.tier_counters();
+    EXPECT_EQ(eager_counters.interpreted, 0u);
+    EXPECT_EQ(eager_counters.jitted, kCalls);
+    EXPECT_EQ(eager_counters.tier2, 0u);
+    EXPECT_EQ(eager_counters.tier2_functions, 0u);
+
+    // Threshold 1 and no pool: the first JIT call installs tier 2 on the
+    // spot. The install swaps in a new image; the snapshot taken before
+    // it keeps every slot.
+    const SimResult hot = tiered.run(*pressure, {Value::make_i32(0)}, mem);
+    ASSERT_TRUE(hot.ok());
+    EXPECT_EQ(hot.tier, 2);
+    EXPECT_EQ(hot.value.i32, 0);
+    EXPECT_EQ(tiered.tier_counters().tier2_functions, 1u);
+    EXPECT_EQ(slots(*warm), warm_slots);
+    replaced = replaced || slots(*tiered.code()) != warm_slots;
+  }
+  EXPECT_TRUE(replaced) << "no target's tier-2 code differs from tier 1";
 }
 
 // --- Shared-cache Soc ----------------------------------------------------
