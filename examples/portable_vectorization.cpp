@@ -48,7 +48,7 @@ int main() {
                                                 r.stats.spill_stores));
     if (kind == TargetKind::X86Sim || kind == TargetKind::SparcSim) {
       std::printf("generated code:\n%s\n",
-                  (*device.soc().core(0).code())[0].str().c_str());
+                  (*device.soc().core(0).code())[0]->str().c_str());
     }
   }
   return 0;

@@ -96,10 +96,13 @@ Result<Module> compile_module(std::string_view source,
     return Result<Module>::failure(diags.all());
   }
 
+  const ResolvedPipeline pipeline = ir_pass_manager().resolve(spec);
+  Statistics unused;
+  PassTimes times;
   Module module;
   for (IRFunction& ir : *ir_fns) {
-    IRPipelineContext ctx;
-    ir_pass_manager().run(spec, ir, ctx, stats);
+    IRPipelineContext ctx{stats ? *stats : unused, {}};
+    ir_pass_manager().run(pipeline, ir, ctx, &times);
 
     Function fn = lower_to_bytecode(ir);
     for (const auto& [header, vf] : ctx.vec_stats.vectorized_headers) {
@@ -129,10 +132,9 @@ Result<Module> compile_module(std::string_view source,
   if (!verify_module(module, diags)) return Result<Module>::failure(diags.all());
 
   if (stats) {
-    const auto t1 = std::chrono::steady_clock::now();
+    ir_pass_manager().add_times(times, *stats);
     stats->add("offline.compile_us",
-               std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-                   .count());
+               round_to_us(std::chrono::steady_clock::now() - t0));
   }
   return module;
 }

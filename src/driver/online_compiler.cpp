@@ -76,13 +76,18 @@ Result<void> OnlineTarget::load_module(std::shared_ptr<const Module> module) {
   if (!module) {
     return Result<void>::failure("OnlineTarget::load_module: null module");
   }
-  assert(module->id() != 0 && "loading a moved-from module");
   DiagnosticEngine diags;
   if (!verify_module(*module, diags)) {
     diags.note({}, "while loading module '" + module->name() + "'");
     return Result<void>::failure(diags.all());
   }
+  load_verified_module(std::move(module));
+  return {};
+}
 
+void OnlineTarget::load_verified_module(
+    std::shared_ptr<const Module> module) {
+  assert(module->id() != 0 && "loading a moved-from module");
   // Re-loading while compiles of the previous module are in flight would
   // hand them a dangling module pointer; finish them first.
   drain_pending();
@@ -95,11 +100,9 @@ Result<void> OnlineTarget::load_module(std::shared_ptr<const Module> module) {
   module_ = std::move(module);
   const Module& mod = *module_;
   const uint32_t n = static_cast<uint32_t>(mod.num_functions());
-  jit_stats_.clear();
-  jit_seconds_ = 0.0;
   counters_ = {};
   states_.assign(n, FuncState{});
-  image_ = std::make_shared<std::vector<MFunction>>(n);
+  image_ = std::make_shared<CodeImage>(n);
   profile_.reset(config_.tiers.profile ? n : 0);
   const auto callees = callee_graph(mod);
   for (uint32_t i = 0; i < n; ++i) {
@@ -111,7 +114,6 @@ Result<void> OnlineTarget::load_module(std::shared_ptr<const Module> module) {
   if (config_.tiers.mode == LoadMode::Eager) {
     for (uint32_t i = 0; i < n; ++i) request_locked(i, 1, nullptr);
   }
-  return {};
 }
 
 SimResult OnlineTarget::run(std::string_view name,
@@ -129,7 +131,7 @@ SimResult OnlineTarget::run(uint32_t func_idx, const std::vector<Value>& args,
   assert(func_idx < module_->num_functions());
 
   uint8_t tier = 0;
-  std::shared_ptr<const std::vector<MFunction>> image;
+  std::shared_ptr<const CodeImage> image;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     FuncState& st = states_[func_idx];
@@ -178,16 +180,35 @@ bool OnlineTarget::jit_ready(uint32_t func_idx) {
 }
 
 Statistics OnlineTarget::jit_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return jit_stats_;
+  JitCounters sum;
+  int64_t tier2_installs = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const FuncState& st : states_) {
+      for (const TierSlot& slot : st.tiers) {
+        if (slot.installed) sum += slot.installed->stats;
+      }
+      if (st.tiers[1].installed) ++tier2_installs;
+    }
+  }
+  Statistics out;
+  sum.add_to(out);
+  if (tier2_installs > 0) out.add("jit.tier2_installs", tier2_installs);
+  return out;
 }
 
 double OnlineTarget::jit_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return jit_seconds_;
+  double seconds = 0.0;
+  for (const FuncState& st : states_) {
+    for (const TierSlot& slot : st.tiers) {
+      if (slot.installed) seconds += slot.installed->compile_seconds;
+    }
+  }
+  return seconds;
 }
 
-std::shared_ptr<const std::vector<MFunction>> OnlineTarget::code() const {
+std::shared_ptr<const CodeImage> OnlineTarget::code() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return image_;
 }
@@ -216,22 +237,23 @@ Module OnlineTarget::export_profiled_module() const {
 size_t OnlineTarget::code_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t total = 0;
-  for (const MFunction& fn : *image_) total += fn.code_bytes();
+  for (const auto& fn : *image_) {
+    if (fn) total += fn->code_bytes();
+  }
   return total;
 }
 
-CodeCache::Artifact OnlineTarget::compile(uint32_t func_idx,
-                                          const JitOptions& options,
-                                          uint32_t tier,
+CodeCache::Artifact OnlineTarget::compile(const Compiler& compiler,
+                                          uint32_t func_idx, uint32_t tier,
                                           uint64_t profile_hash) const {
-  const JitCompiler jit(desc_, options);
   if (config_.cache) {
-    const CodeCacheKey key{module_->id(),       func_idx, desc_.kind,
-                           options.cache_key(), tier,     profile_hash};
+    const CodeCacheKey key{module_->id(),        func_idx, desc_.kind,
+                           compiler.options_key, tier,     profile_hash};
     return config_.cache->get_or_compile(
-        key, [&] { return jit.compile(*module_, func_idx); });
+        key, [&] { return compiler.jit.compile(*module_, func_idx); });
   }
-  return std::make_shared<const JitArtifact>(jit.compile(*module_, func_idx));
+  return std::make_shared<const JitArtifact>(
+      compiler.jit.compile(*module_, func_idx));
 }
 
 void OnlineTarget::request_locked(uint32_t func_idx, uint32_t tier,
@@ -240,12 +262,12 @@ void OnlineTarget::request_locked(uint32_t func_idx, uint32_t tier,
   // covers the function's reachable set, whose members' own reachable sets
   // it contains.
   if (states_[func_idx].tiers[tier - 1].requested) return;
-  JitOptions options = jit_.options();
   uint64_t profile_hash = 0;
   // Tier 1 requests the whole reachable set: the simulator may only run a
   // function once every callee has code. Tier 2 re-specializes just the
   // hot function, over callees that already have theirs.
   std::span<const uint32_t> funcs = states_[func_idx].reachable;
+  std::shared_ptr<const Compiler> tier2;
   if (tier == 2) {
     funcs = std::span<const uint32_t>(&func_idx, 1);
     // Freeze the profile the re-specialization is derived from: the hash
@@ -259,8 +281,9 @@ void OnlineTarget::request_locked(uint32_t func_idx, uint32_t tier,
     if (func_idx < seed_profile_.num_functions()) {
       profile.merge(seed_profile_.function(func_idx));
     }
-    options = derive_tier2_options(options, desc_, module_->function(func_idx),
-                                   profile);
+    tier2 = std::make_shared<const Compiler>(
+        desc_, derive_tier2_options(options(), desc_,
+                                    module_->function(func_idx), profile));
     profile_hash = profile.hash();
   }
   for (const uint32_t f : funcs) {
@@ -268,11 +291,13 @@ void OnlineTarget::request_locked(uint32_t func_idx, uint32_t tier,
     if (slot.requested) continue;
     slot.requested = true;
     if (pool) {
-      slot.pending = pool->submit([this, f, options, tier, profile_hash] {
-                           return compile(f, options, tier, profile_hash);
+      slot.pending = pool->submit([this, f, tier, profile_hash, tier2] {
+                           return compile(tier2 ? *tier2 : tier1_, f, tier,
+                                          profile_hash);
                          }).share();
     } else {
-      install_locked(f, tier, *compile(f, options, tier, profile_hash));
+      install_locked(f, tier,
+                     compile(tier2 ? *tier2 : tier1_, f, tier, profile_hash));
     }
   }
 }
@@ -284,31 +309,29 @@ void OnlineTarget::poll_locked(uint32_t func_idx, uint32_t tier) {
           std::future_status::ready) {
     return;
   }
-  install_locked(func_idx, tier, *slot.pending.get());
+  install_locked(func_idx, tier, slot.pending.get());
   slot.pending = {};
 }
 
 void OnlineTarget::install_locked(uint32_t func_idx, uint32_t tier,
-                                  const JitArtifact& artifact) {
+                                  CodeCache::Artifact artifact) {
+  // The image slot points into the artifact and keeps it alive.
+  std::shared_ptr<const MFunction> code(artifact, &artifact->code);
   if (tier == 1) {
     // In-place image write: this slot is empty and unreachable by any run
     // in flight (serving from JITed code requires the whole reachable set
     // installed), so no snapshot holder can be reading it.
-    (*image_)[func_idx] = artifact.code;
+    (*image_)[func_idx] = std::move(code);
   } else {
     // Copy-on-write: the replaced slot may be executing right now in a run
     // that snapshotted the current image, so swap in a fresh vector instead
-    // of mutating the shared one. Tier-2 installs are rare (once per hot
-    // function), so the full copy amortizes to nothing.
-    auto image = std::make_shared<std::vector<MFunction>>(*image_);
-    (*image)[func_idx] = artifact.code;
+    // of mutating the shared one. It copies pointers, not code.
+    auto image = std::make_shared<CodeImage>(*image_);
+    (*image)[func_idx] = std::move(code);
     image_ = std::move(image);
-    jit_stats_.add("jit.tier2_installs", 1);
     ++counters_.tier2_functions;
   }
-  jit_stats_.merge(artifact.stats);
-  jit_seconds_ += artifact.compile_seconds;
-  states_[func_idx].tiers[tier - 1].installed = true;
+  states_[func_idx].tiers[tier - 1].installed = std::move(artifact);
 }
 
 bool OnlineTarget::tier1_ready_locked(uint32_t func_idx) {

@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -108,7 +109,9 @@ class OnlineTarget {
 
   explicit OnlineTarget(TargetKind kind, JitOptions options = {},
                         Config config = {})
-      : desc_(target_desc(kind)), jit_(desc_, options), config_(config) {}
+      : desc_(target_desc(kind)),
+        tier1_(desc_, std::move(options)),
+        config_(config) {}
 
   /// Blocks until every background compile this target enqueued has
   /// finished: in-flight jobs capture `this`, so they must not outlive it.
@@ -116,20 +119,23 @@ class OnlineTarget {
   ~OnlineTarget();
 
   [[nodiscard]] const MachineDesc& desc() const { return desc_; }
-  [[nodiscard]] const JitOptions& options() const { return jit_.options(); }
+  [[nodiscard]] const JitOptions& options() const {
+    return tier1_.jit.options();
+  }
   [[nodiscard]] LoadMode mode() const { return config_.tiers.mode; }
-  /// JIT counters of the installed code, and the sum of the installed
-  /// artifacts' compile_seconds (a cache hit reports the time its artifact
-  /// took to compile). Snapshots taken under the target's lock, so safe
-  /// while tier-up installs more code.
+  /// JIT counters of the installed code, summed over every installed
+  /// artifact (a tier-1 artifact a tier-2 one replaced included) when
+  /// called, and the sum of those artifacts' compile_seconds (a cache hit
+  /// reports the time its artifact took to compile). Snapshots taken
+  /// under the target's lock, so safe while tier-up installs more code.
   [[nodiscard]] Statistics jit_stats() const;
   [[nodiscard]] double jit_seconds() const;
-  /// Snapshot of the code image, one slot per function (empty until that
+  /// Snapshot of the code image, one slot per function (null until that
   /// function's tier-1 slot installs), taken under the lock. A tier-2
   /// install swaps in a new image, so the snapshot's installed slots never
   /// change; a later tier-1 install fills an empty slot in place, so read
   /// a slot only once jit_ready() says it is installed.
-  [[nodiscard]] std::shared_ptr<const std::vector<MFunction>> code() const;
+  [[nodiscard]] std::shared_ptr<const CodeImage> code() const;
 
   /// Verifies `module` and prepares it for execution: eager mode requests
   /// and installs every function's tier-1 slot now, on the calling thread;
@@ -209,7 +215,7 @@ class OnlineTarget {
   // is in flight; a compile without a pool installs straight away.
   struct TierSlot {
     bool requested = false;
-    bool installed = false;
+    CodeCache::Artifact installed;  // null until installed
     std::shared_future<CodeCache::Artifact> pending;
   };
 
@@ -225,40 +231,50 @@ class OnlineTarget {
     std::vector<uint32_t> reachable;
   };
 
-  [[nodiscard]] CodeCache::Artifact compile(uint32_t func_idx,
-                                            const JitOptions& options,
-                                            uint32_t tier,
+  // A JIT compiler and its cache key, computed once: the target's own for
+  // tier 1, and one per request for tier 2's profile-derived options.
+  struct Compiler {
+    Compiler(const MachineDesc& desc, JitOptions options)
+        : jit(desc, std::move(options)),
+          options_key(jit.options().cache_key()) {}
+    JitCompiler jit;
+    std::string options_key;
+  };
+
+  // Soc::load_module verifies the module once for all its cores.
+  friend class Soc;
+  void load_verified_module(std::shared_ptr<const Module> module);
+  [[nodiscard]] CodeCache::Artifact compile(const Compiler& compiler,
+                                            uint32_t func_idx, uint32_t tier,
                                             uint64_t profile_hash) const;
   void drain_pending();
   void request_locked(uint32_t func_idx, uint32_t tier, ThreadPool* pool);
   void poll_locked(uint32_t func_idx, uint32_t tier);
   void install_locked(uint32_t func_idx, uint32_t tier,
-                      const JitArtifact& artifact);
+                      CodeCache::Artifact artifact);
   [[nodiscard]] bool tier1_ready_locked(uint32_t func_idx);
   [[nodiscard]] SimResult interpret(uint32_t func_idx,
                                     const std::vector<Value>& args,
                                     Memory& memory, uint64_t step_budget);
 
   const MachineDesc& desc_;
-  JitCompiler jit_;
+  const Compiler tier1_;
   Config config_;
   std::shared_ptr<const Module> module_;
   // Fallback tier-0 stream cache when config_.predecode is not set.
   PredecodeCache predecode_;
   // Everything below is guarded by mutex_.
   mutable std::mutex mutex_;
-  Statistics jit_stats_;
-  double jit_seconds_ = 0.0;
   std::vector<FuncState> states_;
   // The one code image; run() grabs the shared_ptr under the lock and
-  // executes outside it. Tier-1 installs write their slot in place --
+  // executes outside it. A slot points into the installed JitArtifact and
+  // shares its ownership (with the CodeCache), so installs copy no code. Tier-1 installs write their slot in place --
   // safe, because they only fill entries no in-flight run can reach yet
   // (serving from JITed code requires the whole reachable set installed).
   // Tier-2 installs *replace* already-observed entries, so they
-  // copy-on-write: a fresh vector is swapped in and runs in flight keep
-  // executing the image they started with.
-  std::shared_ptr<std::vector<MFunction>> image_ =
-      std::make_shared<std::vector<MFunction>>();
+  // copy-on-write: a fresh vector of pointers is swapped in and runs in
+  // flight keep executing the image they started with.
+  std::shared_ptr<CodeImage> image_ = std::make_shared<CodeImage>();
   ProfileData profile_;
   // External baseline merged into tier-2 derivation only (seed_profile);
   // excluded from profile() so cross-collector merges stay exact.

@@ -7,41 +7,41 @@ IRPassManager build_ir_pass_manager() {
   IRPassManager pm("offline.pass_us.");
 
   pm.register_pass("coalesce", "copy coalescing",
-                   [](IRFunction& fn, IRPipelineContext&, Statistics& stats) {
-                     stats.add("offline.coalesced", run_coalesce_pass(fn));
+                   [](IRFunction& fn, IRPipelineContext& ctx) {
+                     ctx.stats.add("offline.coalesced", run_coalesce_pass(fn));
                    });
   pm.register_pass("fold", "constant folding",
-                   [](IRFunction& fn, IRPipelineContext&, Statistics& stats) {
-                     stats.add("offline.folded", run_fold_pass(fn));
+                   [](IRFunction& fn, IRPipelineContext& ctx) {
+                     ctx.stats.add("offline.folded", run_fold_pass(fn));
                    });
   pm.register_pass("simplify",
                    "algebraic simplification / strength reduction",
-                   [](IRFunction& fn, IRPipelineContext&, Statistics& stats) {
-                     stats.add("offline.simplified", run_simplify_pass(fn));
+                   [](IRFunction& fn, IRPipelineContext& ctx) {
+                     ctx.stats.add("offline.simplified", run_simplify_pass(fn));
                    });
   pm.register_pass("dce", "dead code elimination",
-                   [](IRFunction& fn, IRPipelineContext&, Statistics& stats) {
-                     stats.add("offline.dce_removed", run_dce_pass(fn));
+                   [](IRFunction& fn, IRPipelineContext& ctx) {
+                     ctx.stats.add("offline.dce_removed", run_dce_pass(fn));
                    });
   pm.register_pass("licm", "loop-invariant constant hoisting",
-                   [](IRFunction& fn, IRPipelineContext&, Statistics& stats) {
-                     stats.add("offline.licm_hoisted",
-                               run_licm_consts_pass(fn));
+                   [](IRFunction& fn, IRPipelineContext& ctx) {
+                     ctx.stats.add("offline.licm_hoisted",
+                                   run_licm_consts_pass(fn));
                    });
   pm.register_pass("if_convert", "if-conversion of branchy triangles",
-                   [](IRFunction& fn, IRPipelineContext&, Statistics& stats) {
-                     stats.add("offline.if_converted",
-                               run_if_convert_pass(fn));
+                   [](IRFunction& fn, IRPipelineContext& ctx) {
+                     ctx.stats.add("offline.if_converted",
+                                   run_if_convert_pass(fn));
                    });
 
   auto fixpoint = [](bool simplify) {
-    return [simplify](IRFunction& fn, IRPipelineContext&, Statistics& stats) {
+    return [simplify](IRFunction& fn, IRPipelineContext& ctx) {
       PassOptions options;
       options.simplify = simplify;
       const PassStats ps = run_cleanup_fixpoint(fn, options);
-      stats.add("offline.folded", ps.folded);
-      stats.add("offline.simplified", ps.simplified);
-      stats.add("offline.dce_removed", ps.dce_removed);
+      ctx.stats.add("offline.folded", ps.folded);
+      ctx.stats.add("offline.simplified", ps.simplified);
+      ctx.stats.add("offline.dce_removed", ps.dce_removed);
     };
   };
   pm.register_pass("cleanup",
@@ -53,12 +53,12 @@ IRPassManager build_ir_pass_manager() {
 
   pm.register_pass(
       "vectorize", "split automatic vectorization",
-      [](IRFunction& fn, IRPipelineContext& ctx, Statistics& stats) {
+      [](IRFunction& fn, IRPipelineContext& ctx) {
         const VectorizeStats vs = vectorize(fn);
-        stats.add("offline.loops_vectorized", vs.loops_vectorized);
-        stats.add("offline.widening_reductions", vs.widening_reductions);
-        stats.add("offline.accumulator_reductions",
-                  vs.accumulator_reductions);
+        ctx.stats.add("offline.loops_vectorized", vs.loops_vectorized);
+        ctx.stats.add("offline.widening_reductions", vs.widening_reductions);
+        ctx.stats.add("offline.accumulator_reductions",
+                      vs.accumulator_reductions);
         ctx.vec_stats.loops_considered += vs.loops_considered;
         ctx.vec_stats.loops_vectorized += vs.loops_vectorized;
         ctx.vec_stats.widening_reductions += vs.widening_reductions;

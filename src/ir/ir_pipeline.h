@@ -26,6 +26,8 @@ namespace svc {
 
 /// Cross-pass outputs of one offline pipeline run over one function.
 struct IRPipelineContext {
+  /// The passes' counters ("offline.folded", ...) accumulate here.
+  Statistics& stats;
   /// Accumulated by the "vectorize" pass; the offline compiler turns
   /// vectorized_headers into VectorizedLoop annotations after lowering.
   VectorizeStats vec_stats;

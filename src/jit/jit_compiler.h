@@ -9,8 +9,10 @@
 // consumes the SpillPriority annotation).
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "bytecode/module.h"
@@ -45,16 +47,63 @@ struct JitOptions {
   [[nodiscard]] std::string cache_key() const;
 };
 
+/// What one JIT compile counts, in fixed fields rather than a string
+/// map: the passes add their counters (moves removed, spills, ...) and
+/// the pass runner adds each pass's wall time. A counter nothing touched
+/// is absent, as a key never added to a Statistics is, so add_to()
+/// renders exactly the "jit.*" keys a string map would have held.
+class JitCounters {
+ public:
+  enum Counter : uint8_t {
+    MovesRemoved,
+    PeepholeWorkUnits,
+    FmaFormed,
+    VectorInstsExpanded,
+    ScalarInstsEmitted,
+    SpilledVregs,
+    StaticSpillLoads,
+    StaticSpillStores,
+    AllocWorkUnits,
+    CodeBytes,
+    kNumCounters,
+  };
+
+  void add(Counter c, int64_t delta) {
+    values_[c] += delta;
+    present_ |= uint32_t{1} << c;
+  }
+  /// Per-pass wall time, indexed by jit_pass_manager() pass index.
+  [[nodiscard]] PassTimes& pass_us() { return pass_us_; }
+  JitCounters& operator+=(const JitCounters& other);
+
+  /// Adds every present counter to `out` under its key ("jit.spilled_vregs",
+  /// "jit.pass_us.regalloc", ...).
+  void add_to(Statistics& out) const;
+  /// A counter by its key; 0 when absent or when the key names none.
+  [[nodiscard]] int64_t get(std::string_view key) const;
+  [[nodiscard]] bool has(std::string_view key) const;
+  /// The inverse of add_to, for artifacts read back from disk: nullopt
+  /// when a key names no JIT counter.
+  [[nodiscard]] static std::optional<JitCounters> from_statistics(
+      const Statistics& stats);
+
+ private:
+  std::array<int64_t, kNumCounters> values_{};
+  uint32_t present_ = 0;
+  PassTimes pass_us_;
+};
+
 struct JitArtifact {
   MFunction code;
-  Statistics stats;  // per-phase counters (moves_removed, spills, ...)
+  JitCounters stats;
   double compile_seconds = 0.0;
 };
 
 class JitCompiler {
  public:
-  explicit JitCompiler(const MachineDesc& desc, JitOptions options = {})
-      : desc_(desc), options_(options) {}
+  /// Resolves the pipeline (options.pipeline, or the target's default)
+  /// once; an invalid spec is reported by compile().
+  explicit JitCompiler(const MachineDesc& desc, JitOptions options = {});
 
   [[nodiscard]] const MachineDesc& desc() const { return desc_; }
   [[nodiscard]] const JitOptions& options() const { return options_; }
@@ -67,12 +116,14 @@ class JitCompiler {
                                     uint32_t func_idx) const;
 
   /// Compiles every function; `aggregate` (optional) accumulates stats.
-  [[nodiscard]] std::vector<MFunction> compile_module(
+  [[nodiscard]] CodeImage compile_module(
       const Module& module, Statistics* aggregate = nullptr) const;
 
  private:
   const MachineDesc& desc_;
   const JitOptions options_;
+  ResolvedPipeline pipeline_;
+  std::string pipeline_error_;  // why options_.pipeline cannot run, if so
 };
 
 }  // namespace svc

@@ -1,5 +1,7 @@
 #include "jit/jit_pipeline.h"
 
+#include <array>
+
 #include "jit/devectorize.h"
 #include "jit/isel.h"
 #include "jit/stack_to_reg.h"
@@ -13,38 +15,38 @@ JitPassManager build_jit_pass_manager() {
 
   pm.register_pass("stack_to_reg",
                    "stack bytecode -> virtual-register translation",
-                   [](MFunction& fn, JitPipelineContext& ctx, Statistics&) {
+                   [](MFunction& fn, JitPipelineContext& ctx) {
                      fn = stack_to_reg(ctx.module, ctx.fn);
                    });
 
   pm.register_pass("peephole",
                    "copy forwarding + dead-move elimination",
-                   [](MFunction& fn, JitPipelineContext&, Statistics& stats) {
+                   [](MFunction& fn, JitPipelineContext& ctx) {
                      const PeepholeStats peep = peephole_cleanup(fn);
-                     stats.add("jit.moves_removed", peep.moves_removed);
-                     stats.add("jit.peephole_work_units",
-                               static_cast<int64_t>(peep.work_units));
+                     ctx.counters.add(JitCounters::MovesRemoved,
+                                      peep.moves_removed);
+                     ctx.counters.add(JitCounters::PeepholeWorkUnits,
+                                      static_cast<int64_t>(peep.work_units));
                    });
 
   pm.register_pass("fma", "fused multiply-add formation (has_fma targets)",
-                   [](MFunction& fn, JitPipelineContext& ctx,
-                      Statistics& stats) {
+                   [](MFunction& fn, JitPipelineContext& ctx) {
                      if (!ctx.desc.has_fma) return;
-                     stats.add("jit.fma_formed", form_fma(fn));
+                     ctx.counters.add(JitCounters::FmaFormed, form_fma(fn));
                    });
 
   pm.register_pass("devectorize", "lane expansion to scalar code",
-                   [](MFunction& fn, JitPipelineContext&, Statistics& stats) {
+                   [](MFunction& fn, JitPipelineContext& ctx) {
                      const DevectorizeStats dv = devectorize(fn);
-                     stats.add("jit.vector_insts_expanded",
-                               dv.vector_insts_expanded);
-                     stats.add("jit.scalar_insts_emitted",
-                               dv.scalar_insts_emitted);
+                     ctx.counters.add(JitCounters::VectorInstsExpanded,
+                                      dv.vector_insts_expanded);
+                     ctx.counters.add(JitCounters::ScalarInstsEmitted,
+                                      dv.scalar_insts_emitted);
                    });
 
   pm.register_pass(
       "regalloc", "register allocation (policy from JitOptions)",
-      [](MFunction& fn, JitPipelineContext& ctx, Statistics& stats) {
+      [](MFunction& fn, JitPipelineContext& ctx) {
         // The SplitGuided policy consumes the offline SpillPriority
         // annotation when present and enabled.
         SpillPriorityInfo hints;
@@ -61,11 +63,13 @@ JitPassManager build_jit_pass_manager() {
         }
         const AllocResult alloc = allocate_registers(
             fn, ctx.desc, ctx.options.alloc_policy, hints_ptr);
-        stats.add("jit.spilled_vregs", alloc.spilled_vregs);
-        stats.add("jit.static_spill_loads", alloc.static_spill_loads);
-        stats.add("jit.static_spill_stores", alloc.static_spill_stores);
-        stats.add("jit.alloc_work_units",
-                  static_cast<int64_t>(alloc.work_units));
+        ctx.counters.add(JitCounters::SpilledVregs, alloc.spilled_vregs);
+        ctx.counters.add(JitCounters::StaticSpillLoads,
+                         alloc.static_spill_loads);
+        ctx.counters.add(JitCounters::StaticSpillStores,
+                         alloc.static_spill_stores);
+        ctx.counters.add(JitCounters::AllocWorkUnits,
+                         static_cast<int64_t>(alloc.work_units));
       });
 
   return pm;
@@ -90,6 +94,20 @@ PipelineSpec default_jit_pipeline(const MachineDesc& desc) {
   }
   spec.append("regalloc");
   return spec;
+}
+
+const ResolvedPipeline& default_jit_passes(const MachineDesc& desc) {
+  static const auto resolved = [] {
+    std::array<ResolvedPipeline, 4> out;
+    for (size_t shape = 0; shape < out.size(); ++shape) {
+      MachineDesc d;
+      d.has_fma = (shape & 1) != 0;
+      d.has_simd = (shape & 2) != 0;
+      out[shape] = jit_pass_manager().resolve(default_jit_pipeline(d));
+    }
+    return out;
+  }();
+  return resolved[(desc.has_fma ? 1 : 0) | (desc.has_simd ? 2 : 0)];
 }
 
 }  // namespace svc

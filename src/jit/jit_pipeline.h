@@ -32,6 +32,7 @@ struct JitPipelineContext {
   const Function& fn;
   const MachineDesc& desc;
   const JitOptions& options;
+  JitCounters& counters;  // the compile's counters; passes add to them
 };
 
 using JitPassManager = PassManager<MFunction, JitPipelineContext>;
@@ -43,5 +44,11 @@ using JitPassManager = PassManager<MFunction, JitPipelineContext>;
 /// refactor: stack_to_reg, peephole, [fma], [devectorize + second
 /// peephole], regalloc -- gates resolved against `desc` capabilities.
 [[nodiscard]] PipelineSpec default_jit_pipeline(const MachineDesc& desc);
+
+/// default_jit_pipeline(desc) resolved against jit_pass_manager(). The
+/// chain depends only on has_fma and has_simd, so its four shapes are
+/// resolved once per process.
+[[nodiscard]] const ResolvedPipeline& default_jit_passes(
+    const MachineDesc& desc);
 
 }  // namespace svc

@@ -18,9 +18,16 @@
 
 namespace svc {
 
+/// Successor blocks of one block, read off its terminator (at most two).
+struct Successors {
+  uint32_t ids[2] = {0, 0};
+  uint32_t count = 0;
+  [[nodiscard]] const uint32_t* begin() const { return ids; }
+  [[nodiscard]] const uint32_t* end() const { return ids + count; }
+};
+
 /// Successor blocks of `block` (from its terminator).
-[[nodiscard]] std::vector<uint32_t> successors(const MFunction& fn,
-                                               uint32_t block);
+[[nodiscard]] Successors successors(const MFunction& fn, uint32_t block);
 
 /// Invokes `f` for every register read by `inst` (including call-site
 /// argument registers).
@@ -52,47 +59,76 @@ void for_each_use(const MFunction& fn, const MInst& inst, F&& f) {
   return (static_cast<size_t>(max_v) + 1) * kNumRegClasses;
 }
 
+/// Per-block live-in / live-out sets over the vregs a function's
+/// instructions mention. Each such vreg gets one bit, numbered in order of
+/// first mention, so a row is as wide as the function's register use
+/// rather than its vreg_key range. The rows of all blocks share one flat
+/// buffer per set, and compute() reuses the buffers of the previous
+/// function, so a Liveness kept across calls allocates only when a
+/// function outgrows every earlier one.
 class Liveness {
  public:
-  Liveness(size_t num_blocks, size_t num_keys);
+  /// Recomputes the sets for `fn` (backward dataflow to the fixpoint).
+  void compute(const MFunction& fn);
 
   [[nodiscard]] bool live_in(uint32_t block, uint32_t key) const {
-    return test(in_[block], key);
+    return test(in_, block, key);
   }
   [[nodiscard]] bool live_out(uint32_t block, uint32_t key) const {
-    return test(out_[block], key);
+    return test(out_, block, key);
   }
-  [[nodiscard]] size_t num_keys() const { return num_keys_; }
+  /// vreg_key_bound of the function: every key is below it.
+  [[nodiscard]] size_t num_keys() const { return bit_of_.size(); }
 
-  /// Invoke `f(key)` for each key live into / out of `block`, ascending.
-  template <typename F>
-  void for_each_live_in(uint32_t block, F&& f) const {
-    for_each_set(in_[block], f);
-  }
+  /// Invoke `f(key)` for each key live out of `block`.
   template <typename F>
   void for_each_live_out(uint32_t block, F&& f) const {
-    for_each_set(out_[block], f);
-  }
-
- private:
-  friend Liveness compute_liveness(const MFunction& fn);
-  using BitRow = std::vector<uint64_t>;
-  static bool test(const BitRow& row, uint32_t key) {
-    return (row[key >> 6] >> (key & 63)) & 1;
-  }
-  static void set(BitRow& row, uint32_t key) {
-    row[key >> 6] |= uint64_t{1} << (key & 63);
-  }
-  template <typename F>
-  static void for_each_set(const BitRow& row, F& f) {
-    for (size_t w = 0; w < row.size(); ++w) {
+    const uint64_t* row = out_.data() + block * words_;
+    for (size_t w = 0; w < words_; ++w) {
       for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
-        f(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+        f(key_of_[w * 64 + std::countr_zero(bits)]);
       }
     }
   }
-  size_t num_keys_;
-  std::vector<BitRow> in_, out_;
+
+  /// Invoke `f(key, first_in, last_out)` for each key live across some
+  /// block boundary: the first block (in layout order) the key is live
+  /// into and the last block it is live out of, kNoBlock for none. Blocks
+  /// are laid out in order, so these two bound every boundary at which
+  /// the key is live.
+  static constexpr uint32_t kNoBlock = ~uint32_t{0};
+  template <typename F>
+  void for_each_live_range(F&& f) const {
+    for (uint32_t bit = 0; bit < key_of_.size(); ++bit) {
+      if (first_in_[bit] != kNoBlock || last_out_[bit] != kNoBlock) {
+        f(key_of_[bit], first_in_[bit], last_out_[bit]);
+      }
+    }
+  }
+
+ private:
+  static constexpr uint32_t kNoBit = ~uint32_t{0};
+
+  [[nodiscard]] bool test(const std::vector<uint64_t>& set, uint32_t block,
+                          uint32_t key) const {
+    const uint32_t bit = key < bit_of_.size() ? bit_of_[key] : kNoBit;
+    if (bit == kNoBit) return false;
+    return (set[block * words_ + (bit >> 6)] >> (bit & 63)) & 1;
+  }
+
+  // bit_of_[key] is the key's bit (kNoBit when no instruction mentions
+  // it); key_of_ is the inverse.
+  std::vector<uint32_t> bit_of_;
+  std::vector<uint32_t> key_of_;
+  // Per bit: see for_each_live_range.
+  std::vector<uint32_t> first_in_, last_out_;
+  std::vector<uint64_t> seen_;  // one row, for the range scan
+  size_t words_ = 0;
+  // num_blocks * words_ each: block b's row starts at b * words_.
+  std::vector<uint64_t> in_, out_, gen_, kill_;
+  std::vector<Successors> succs_;
+  std::vector<uint32_t> pred_start_, preds_, pred_fill_;
+  std::vector<uint8_t> dirty_;
 };
 
 [[nodiscard]] Liveness compute_liveness(const MFunction& fn);
@@ -119,8 +155,28 @@ struct LinearOrder {
 };
 
 [[nodiscard]] LinearOrder linearize(const MFunction& fn);
+/// Same, reusing `order`'s storage.
+void linearize(const MFunction& fn, LinearOrder& order);
 
-/// Builds intervals. `precise == nullptr` selects the naive JIT mode.
+/// Builds live intervals, ordered by (start, vreg_key). `precise ==
+/// nullptr` selects the naive JIT mode. Keeps its per-vreg tables between
+/// calls, so one builder reused across functions allocates only when a
+/// function outgrows every earlier one; the order comes from a counting
+/// sort over instruction positions, not a comparison sort.
+class IntervalBuilder {
+ public:
+  /// Replaces the contents of `out` with the intervals of `fn`.
+  void build(const MFunction& fn, const LinearOrder& order,
+             const Liveness* precise, std::vector<LiveInterval>& out);
+
+ private:
+  std::vector<uint32_t> slot_of_;   // key -> index in unsorted_
+  std::vector<uint32_t> local_of_;  // key -> SVIL local
+  std::vector<LiveInterval> unsorted_;
+  std::vector<uint32_t> first_at_;  // counting-sort offsets by start
+};
+
+/// One-shot spelling of IntervalBuilder::build.
 [[nodiscard]] std::vector<LiveInterval> build_intervals(
     const MFunction& fn, const LinearOrder& order, const Liveness* precise);
 

@@ -416,9 +416,11 @@ PersistentCache::LoadResult PersistentCache::load(
   auto code = read_mfunction(r);
   if (!code) return reject;
   artifact->code = std::move(*code);
-  auto stats = read_statistics(r);
+  const auto stats = read_statistics(r);
   if (!stats) return reject;
-  artifact->stats = std::move(*stats);
+  auto counters = JitCounters::from_statistics(*stats);
+  if (!counters) return reject;
+  artifact->stats = *counters;
   const auto seconds_bits = r.read_bytes(8);
   if (!seconds_bits || !r.at_end()) return reject;
   uint64_t bits = 0;
@@ -442,7 +444,9 @@ bool PersistentCache::store(const PersistentCacheKey& key,
                         : build_fingerprint(key.kind, key.options_key));
   write_key(out, key);
   write_mfunction(out, artifact.code);
-  write_statistics(out, artifact.stats);
+  Statistics stats;
+  artifact.stats.add_to(stats);
+  write_statistics(out, stats);
   const uint64_t bits = std::bit_cast<uint64_t>(artifact.compile_seconds);
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<uint8_t>((bits >> (8 * i)) & 0xff));

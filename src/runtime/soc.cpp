@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "bytecode/verifier.h"
 #include "runtime/mapper.h"
 
 namespace svc {
@@ -42,12 +43,16 @@ Result<void> Soc::load_module(std::shared_ptr<const Module> module) {
   if (!module) {
     return Result<void>::failure("Soc::load_module: null module");
   }
-  // The first core's load verifies the module; an invalid one loads
-  // nowhere (no partially-loaded SoC). Eager cores compile through the
-  // shared cache, so same-kind cores after the first are all hits.
-  for (auto& core : cores_) {
-    if (Result<void> r = core->load_module(module); !r.ok()) return r;
+  // One verification for every core: an invalid module loads nowhere (no
+  // partially-loaded SoC), and the cores skip their own check. Eager cores
+  // compile through the shared cache, so same-kind cores after the first
+  // are all hits.
+  DiagnosticEngine diags;
+  if (!verify_module(*module, diags)) {
+    diags.note({}, "while loading module '" + module->name() + "'");
+    return Result<void>::failure(diags.all());
   }
+  for (auto& core : cores_) core->load_verified_module(module);
   module_ = std::move(module);
 
   if (options_.prefetch) {

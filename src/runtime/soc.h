@@ -58,8 +58,10 @@ class Soc {
   Soc(std::vector<CoreSpec> cores, size_t memory_bytes, JitOptions jit = {},
       SocOptions options = {});
 
-  /// Loads `module` on every core through the shared cache. An invalid
-  /// module is reported through the Result (no core executes it); eager
+  /// Loads `module` on every core through the shared cache. The module is
+  /// verified once here, for all cores; an invalid one is reported
+  /// through the Result and no core loads it (each keeps what it had);
+  /// eager
   /// mode compiles every function per *kind* now, tiered mode defers to
   /// run_on and -- with options.prefetch -- enqueues one background
   /// compile per function on its best core.

@@ -8,10 +8,17 @@
 // A PipelineSpec is an ordered list of pass names and round-trips through
 // its string form ("fold,simplify,dce,if_convert,vectorize"). A
 // PassManager<Unit, Context> owns the registry for one pipeline family
-// (Unit = IRFunction offline, MFunction online) and runs a spec over one
-// unit, timing every pass and collecting its Statistics delta.
+// (Unit = IRFunction offline, MFunction online). A spec is resolved to
+// pass indices once (resolve()); running the resolved pipeline over a
+// unit then looks nothing up by name and builds no string: passes report
+// their counters through the Context, and the runner adds each pass's
+// wall time to a fixed PassTimes array, rendered as "<prefix><pass>"
+// counters only when a caller asks (add_times()).
 #pragma once
 
+#include <array>
+#include <chrono>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -58,17 +65,30 @@ class PipelineSpec {
   std::vector<std::string> names_;
 };
 
-/// One executed pass: what ran, how long it took, what it reported.
-struct PassRunInfo {
-  std::string name;
-  double seconds = 0.0;
-  Statistics delta;
+/// Wall time of the passes that pipeline runs executed, indexed by the
+/// manager's pass index, in whole microseconds (each run rounded to the
+/// nearest, as StatTimer does). `ran` has bit i set once pass i ran, so a
+/// pass that never ran renders as no counter rather than as 0.
+struct PassTimes {
+  static constexpr size_t kMaxPasses = 16;
+  std::array<int64_t, kMaxPasses> us{};
+  uint32_t ran = 0;
+
+  void add(size_t pass, int64_t micros) {
+    us[pass] += micros;
+    ran |= uint32_t{1} << pass;
+  }
+  PassTimes& operator+=(const PassTimes& other) {
+    for (size_t i = 0; i < kMaxPasses; ++i) us[i] += other.us[i];
+    ran |= other.ran;
+    return *this;
+  }
 };
 
-/// Result of PassManager::run over one unit.
-struct PipelineRunReport {
-  std::vector<PassRunInfo> passes;
-  double total_seconds = 0.0;
+/// A PipelineSpec resolved against one registry: the indices of its
+/// passes, in run order.
+struct ResolvedPipeline {
+  std::vector<uint8_t> passes;
 };
 
 /// Registry + runner for one pipeline family. `Unit` is the object being
@@ -78,18 +98,20 @@ struct PipelineRunReport {
 template <typename Unit, typename Context>
 class PassManager {
  public:
-  /// A pass mutates `unit` and reports named counters into `stats`.
-  using PassFn = std::function<void(Unit& unit, Context& ctx,
-                                    Statistics& stats)>;
+  /// A pass mutates `unit`; it reports counters through `ctx`.
+  using PassFn = std::function<void(Unit& unit, Context& ctx)>;
 
-  /// `timer_prefix` namespaces the per-pass wall-time counters the runner
-  /// adds to the aggregate Statistics ("<prefix><pass>", microseconds).
+  /// `timer_prefix` namespaces the per-pass wall-time counters add_times()
+  /// renders ("<prefix><pass>", microseconds).
   explicit PassManager(std::string timer_prefix = "pass_us.")
       : timer_prefix_(std::move(timer_prefix)) {}
 
   void register_pass(std::string name, std::string description, PassFn fn) {
     if (index_.count(name) != 0) {
       fatal("PassManager: duplicate pass '" + name + "'");
+    }
+    if (passes_.size() == PassTimes::kMaxPasses) {
+      fatal("PassManager: too many passes");
     }
     index_[name] = passes_.size();
     passes_.push_back({std::move(name), std::move(description),
@@ -116,8 +138,8 @@ class PassManager {
   }
 
   /// First name in `spec` with no registered pass, if any. Callers turn
-  /// this into a DiagnosticEngine error; run() treats unknown names as an
-  /// internal invariant break.
+  /// this into a DiagnosticEngine error; resolve() treats unknown names
+  /// as an internal invariant break.
   [[nodiscard]] std::optional<std::string> first_unknown(
       const PipelineSpec& spec) const {
     for (const std::string& name : spec.names()) {
@@ -126,32 +148,51 @@ class PassManager {
     return std::nullopt;
   }
 
-  /// Runs `spec` over `unit` in order. Every pass is wall-clock timed; its
-  /// Statistics delta and its "<timer_prefix><name>" time land in
-  /// `aggregate` (when given) and in the returned report. A name may
-  /// appear any number of times; unknown names are fatal -- validate with
-  /// first_unknown() on untrusted specs.
-  PipelineRunReport run(const PipelineSpec& spec, Unit& unit, Context& ctx,
-                        Statistics* aggregate = nullptr) const {
-    PipelineRunReport report;
+  /// Resolves `spec` to pass indices. A name may appear any number of
+  /// times; unknown names are fatal -- validate with first_unknown() on
+  /// untrusted specs.
+  [[nodiscard]] ResolvedPipeline resolve(const PipelineSpec& spec) const {
+    ResolvedPipeline out;
+    out.passes.reserve(spec.size());
     for (const std::string& name : spec.names()) {
       const auto it = index_.find(name);
       if (it == index_.end()) {
         fatal("PassManager: unknown pass '" + name + "' in pipeline");
       }
-      PassRunInfo info;
-      info.name = name;
-      {
-        StatTimer timer(info.delta, timer_prefix_ + name);
-        passes_[it->second].fn(unit, ctx, info.delta);
-      }
-      info.seconds =
-          static_cast<double>(info.delta.get(timer_prefix_ + name)) * 1e-6;
-      report.total_seconds += info.seconds;
-      if (aggregate) aggregate->merge(info.delta);
-      report.passes.push_back(std::move(info));
+      out.passes.push_back(static_cast<uint8_t>(it->second));
     }
-    return report;
+    return out;
+  }
+
+  /// Runs `pipeline` over `unit` in order, adding every pass's wall time
+  /// to `times` (when given).
+  void run(const ResolvedPipeline& pipeline, Unit& unit, Context& ctx,
+           PassTimes* times = nullptr) const {
+    for (const uint8_t pass : pipeline.passes) {
+      const auto start = std::chrono::steady_clock::now();
+      passes_[pass].fn(unit, ctx);
+      if (times) {
+        times->add(pass, round_to_us(std::chrono::steady_clock::now() - start));
+      }
+    }
+  }
+
+  /// Adds "<timer_prefix><pass>" for every pass that ran in `times`.
+  void add_times(const PassTimes& times, Statistics& out) const {
+    for (size_t i = 0; i < passes_.size(); ++i) {
+      if (times.ran & (uint32_t{1} << i)) {
+        out.add(timer_prefix_ + passes_[i].name, times.us[i]);
+      }
+    }
+  }
+
+  /// The pass a "<timer_prefix><pass>" counter key names, if any: the
+  /// inverse of add_times' keys.
+  [[nodiscard]] std::optional<size_t> timer_pass(std::string_view key) const {
+    if (!key.starts_with(timer_prefix_)) return std::nullopt;
+    const auto it = index_.find(std::string(key.substr(timer_prefix_.size())));
+    if (it == index_.end()) return std::nullopt;
+    return it->second;
   }
 
  private:

@@ -38,9 +38,15 @@ class Statistics {
   std::map<std::string, int64_t> counters_;
 };
 
-/// Scoped wall-clock timer: adds the elapsed microseconds to the counter
-/// `key` on destruction, so timer keys read as plain counters. Used by the
-/// PassManager for per-pass wall time.
+/// A duration in whole microseconds, rounded to the nearest (half up):
+/// truncating would drop up to 1 us from every short timed span.
+[[nodiscard]] inline int64_t round_to_us(std::chrono::nanoseconds d) {
+  return (d.count() + 500) / 1000;
+}
+
+/// Scoped wall-clock timer: adds the elapsed microseconds (rounded to the
+/// nearest) to the counter `key` on destruction, so timer keys read as
+/// plain counters.
 class StatTimer {
  public:
   StatTimer(Statistics& stats, std::string key)
@@ -49,9 +55,7 @@ class StatTimer {
         start_(std::chrono::steady_clock::now()) {}
   ~StatTimer() {
     const auto end = std::chrono::steady_clock::now();
-    stats_.add(key_, std::chrono::duration_cast<std::chrono::microseconds>(
-                         end - start_)
-                         .count());
+    stats_.add(key_, round_to_us(end - start_));
   }
   StatTimer(const StatTimer&) = delete;
   StatTimer& operator=(const StatTimer&) = delete;

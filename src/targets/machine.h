@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,12 @@ struct MFunction {
 
   [[nodiscard]] std::string str() const;
 };
+
+/// The machine code of one module as a simulator runs it: function i's
+/// code at index i, null for a function not compiled (yet). Entries are
+/// shared, so an image can point into code owned elsewhere -- a deployed
+/// target's image points into the cached JIT artifacts.
+using CodeImage = std::vector<std::shared_ptr<const MFunction>>;
 
 // --- Machine description -----------------------------------------------------
 

@@ -319,7 +319,7 @@ TrapKind SimFrame::run(std::span<const Value> args, Value& ret_out) {
           if (++sim_.call_depth_ > kMaxCallDepth) {
             return TrapKind::CallStackOverflow;
           }
-          const MFunction& callee = sim_.functions_[inst.a];
+          const MFunction& callee = *sim_.functions_[inst.a];
           // Argument registers live in the caller's frame, listed by the
           // call-site table (inst.imm indexes fn_.call_sites).
           const auto& arg_regs =
@@ -365,7 +365,7 @@ SimResult Simulator::run(uint32_t func_idx, std::span<const Value> args) {
   predictor_.clear();
   call_depth_ = 0;
   SimResult result;
-  SimFrame frame(*this, functions_[func_idx], func_idx);
+  SimFrame frame(*this, *functions_[func_idx], func_idx);
   result.trap = frame.run(args, result.value);
   result.stats = stats_;
   return result;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -59,9 +60,12 @@ struct SimResult {
 /// across calls within one run (reset per `run`).
 class Simulator {
  public:
-  Simulator(const MachineDesc& desc, std::span<const MFunction> functions,
+  /// Runs `image` (a CodeImage); every function a run reaches must have
+  /// code.
+  Simulator(const MachineDesc& desc,
+            std::span<const std::shared_ptr<const MFunction>> image,
             Memory& memory)
-      : desc_(desc), functions_(functions), memory_(memory) {}
+      : desc_(desc), functions_(image), memory_(memory) {}
 
   void set_step_budget(uint64_t steps) { step_budget_ = steps; }
 
@@ -70,7 +74,7 @@ class Simulator {
  private:
   friend class SimFrame;
   const MachineDesc& desc_;
-  std::span<const MFunction> functions_;
+  std::span<const std::shared_ptr<const MFunction>> functions_;
   Memory& memory_;
   uint64_t step_budget_ = kDefaultStepBudget;
   // Shared across frames during one run:

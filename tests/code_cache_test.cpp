@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "api/svc.h"
 #include "driver/kernels.h"
 #include "driver/offline_compiler.h"
 #include "runtime/code_cache.h"
@@ -328,9 +329,9 @@ TEST(TieredTarget, EagerLoadEqualsWarmTieredState) {
   const auto pressure = m.find_function("pressure16");
   ASSERT_TRUE(combine.has_value() && pressure.has_value());
   const auto n = static_cast<uint32_t>(m.num_functions());
-  const auto slots = [](const std::vector<MFunction>& image) {
+  const auto slots = [](const CodeImage& image) {
     std::vector<std::string> out;
-    for (const MFunction& fn : image) out.push_back(fn.str());
+    for (const auto& fn : image) out.push_back(fn ? fn->str() : "");
     return out;
   };
   const auto counters = [](const Statistics& stats) {
@@ -356,7 +357,7 @@ TEST(TieredTarget, EagerLoadEqualsWarmTieredState) {
     load_or_die(tiered, m);
     for (uint32_t f = 0; f < n; ++f) tiered.request_compile(f);
 
-    const std::shared_ptr<const std::vector<MFunction>> warm = tiered.code();
+    const std::shared_ptr<const CodeImage> warm = tiered.code();
     const std::vector<std::string> warm_slots = slots(*warm);
     EXPECT_EQ(slots(*eager.code()), warm_slots);
     EXPECT_EQ(eager.code_bytes(), tiered.code_bytes());
@@ -599,6 +600,104 @@ TEST(SocCache, LoadFailsFastOnInvalidModule) {
   const Result<void> soc_load = soc.load_module(borrow_module(bad));
   EXPECT_FALSE(soc_load.ok());
   EXPECT_EQ(soc.module(), nullptr);
+}
+
+Module invalid_module() {
+  Module bad;
+  Function broken("broken", {{}, Type::I32});
+  broken.add_block();  // empty entry block: no terminator -> invalid
+  bad.add_function(std::move(broken));
+  return bad;
+}
+
+TEST(SocCache, InvalidModuleFailsOnceWithTheTargetsDiagnostic) {
+  // A Soc verifies a module once for all its cores, which then skip their
+  // own check; the diagnostic is the one a lone target reports, whether
+  // the module comes through Soc::load_module or Engine::deploy.
+  const Module bad = invalid_module();
+  OnlineTarget target(TargetKind::X86Sim);
+  const Result<void> direct = target.load_module(borrow_module(bad));
+  ASSERT_FALSE(direct.ok());
+  EXPECT_NE(direct.error_text().find("while loading module"),
+            std::string::npos);
+
+  const std::vector<CoreSpec> cores = {{TargetKind::X86Sim, false},
+                                       {TargetKind::X86Sim, false},
+                                       {TargetKind::SparcSim, false}};
+  Soc soc(cores, 1 << 12);
+  const Result<void> soc_load = soc.load_module(borrow_module(bad));
+  ASSERT_FALSE(soc_load.ok());
+  EXPECT_EQ(soc_load.error_text(), direct.error_text());
+  EXPECT_EQ(soc.module(), nullptr);
+  for (size_t c = 0; c < soc.num_cores(); ++c) {
+    EXPECT_TRUE(soc.core(c).code()->empty()) << "core " << c;
+    EXPECT_FALSE(soc.core(c).jit_ready(0)) << "core " << c;
+  }
+
+  const Engine engine = value_or_die(Engine::Builder().build());
+  const Result<Deployment> deployed =
+      engine.deploy(ModuleHandle::adopt(invalid_module()), cores);
+  ASSERT_FALSE(deployed.ok());
+  EXPECT_EQ(deployed.error_text(), direct.error_text());
+
+  // A Soc already serving a module keeps it on every core.
+  const Module good = value_or_die(compile_module(fir_source()));
+  load_or_die(soc, good);
+  EXPECT_FALSE(soc.load_module(borrow_module(bad)).ok());
+  EXPECT_EQ(soc.module(), &good);
+  for (size_t c = 0; c < soc.num_cores(); ++c) {
+    EXPECT_EQ(soc.core(c).code()->size(), good.num_functions());
+    EXPECT_TRUE(soc.core(c).jit_ready(0)) << "core " << c;
+  }
+}
+
+TEST(TieredTarget, InstallSharesTheCachedArtifact) {
+  // An install copies no machine code: an image slot points into the
+  // artifact the CodeCache holds. A tier-2 install swaps in a new vector of
+  // pointers, so an earlier code() snapshot keeps the tier-1 code.
+  Module m = build_call_module();
+  m.add_function(build_high_pressure());
+  expect_verifies(m);
+  const auto pressure = m.find_function("pressure16");
+  ASSERT_TRUE(pressure.has_value());
+  const auto n = static_cast<uint32_t>(m.num_functions());
+
+  CodeCache cache;
+  OnlineTarget::Config config;
+  config.tiers.mode = LoadMode::Tiered;
+  config.tiers.profile = true;
+  config.tiers.tier2_threshold = 1;
+  config.cache = &cache;
+  OnlineTarget target(TargetKind::SparcSim, {}, config);
+  load_or_die(target, m);
+  for (uint32_t f = 0; f < n; ++f) target.request_compile(f);
+
+  const std::shared_ptr<const CodeImage> before = target.code();
+  ASSERT_EQ(before->size(), n);
+  std::vector<std::string> before_text;
+  for (uint32_t f = 0; f < n; ++f) {
+    const CodeCache::Artifact cached = cache.peek(
+        {m.id(), f, TargetKind::SparcSim, JitOptions{}.cache_key(), 1, 0});
+    ASSERT_NE(cached, nullptr);
+    EXPECT_EQ((*before)[f].get(), &cached->code) << "function " << f;
+    before_text.push_back((*before)[f]->str());
+  }
+
+  Memory mem(1 << 16);
+  const SimResult hot = target.run(*pressure, {Value::make_i32(0)}, mem);
+  ASSERT_TRUE(hot.ok());
+  EXPECT_EQ(hot.tier, 2);
+
+  const std::shared_ptr<const CodeImage> after = target.code();
+  for (uint32_t f = 0; f < n; ++f) {
+    EXPECT_EQ((*before)[f]->str(), before_text[f]) << "function " << f;
+    if (f == *pressure) {
+      EXPECT_NE((*after)[f].get(), (*before)[f].get());
+    } else {
+      EXPECT_EQ((*after)[f].get(), (*before)[f].get()) << "function " << f;
+    }
+  }
+  EXPECT_EQ(target.jit_stats().get("jit.tier2_installs"), 1);
 }
 
 }  // namespace

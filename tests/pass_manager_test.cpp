@@ -68,50 +68,57 @@ TEST(PipelineSpec, ContainsAndAppend) {
 
 struct TestCtx {
   int multiplier = 2;
+  Statistics stats;
 };
 
 TEST(PassManagerGeneric, RunsInOrderWithStatsAndTiming) {
   PassManager<int, TestCtx> pm("t.");
   std::vector<std::string> order;
   pm.register_pass("double", "x *= ctx.multiplier",
-                   [&](int& x, TestCtx& ctx, Statistics& stats) {
+                   [&](int& x, TestCtx& ctx) {
                      x *= ctx.multiplier;
-                     stats.add("doubled", 1);
+                     ctx.stats.add("doubled", 1);
                      order.push_back("double");
                    });
-  pm.register_pass("inc", "x += 1",
-                   [&](int& x, TestCtx&, Statistics& stats) {
-                     x += 1;
-                     stats.add("incremented", 1);
-                     order.push_back("inc");
-                   });
+  pm.register_pass("inc", "x += 1", [&](int& x, TestCtx& ctx) {
+    x += 1;
+    ctx.stats.add("incremented", 1);
+    order.push_back("inc");
+  });
+  pm.register_pass("unused", "never in the spec", [](int&, TestCtx&) {});
 
   EXPECT_TRUE(pm.has_pass("double"));
   EXPECT_FALSE(pm.has_pass("triple"));
-  EXPECT_EQ(pm.pass_names(), (std::vector<std::string>{"double", "inc"}));
+  EXPECT_EQ(pm.pass_names(),
+            (std::vector<std::string>{"double", "inc", "unused"}));
 
   int unit = 3;
   TestCtx ctx;
-  Statistics agg;
-  const auto spec = *PipelineSpec::parse("inc,double,double");
-  const PipelineRunReport report = pm.run(spec, unit, ctx, &agg);
+  PassTimes times;
+  const ResolvedPipeline pipeline =
+      pm.resolve(*PipelineSpec::parse("inc,double,double"));
+  EXPECT_EQ(pipeline.passes, (std::vector<uint8_t>{1, 0, 0}));
+  pm.run(pipeline, unit, ctx, &times);
 
   EXPECT_EQ(unit, 16);  // (3+1)*2*2
   EXPECT_EQ(order, (std::vector<std::string>{"inc", "double", "double"}));
-  ASSERT_EQ(report.passes.size(), 3u);
-  EXPECT_EQ(report.passes[0].name, "inc");
-  EXPECT_EQ(report.passes[1].delta.get("doubled"), 1);
-  EXPECT_EQ(agg.get("doubled"), 2);
-  EXPECT_EQ(agg.get("incremented"), 1);
-  // Per-pass wall time lands under the manager's prefix.
-  EXPECT_TRUE(agg.has("t.double"));
-  EXPECT_TRUE(agg.has("t.inc"));
-  EXPECT_GE(report.total_seconds, 0.0);
+  EXPECT_EQ(ctx.stats.get("doubled"), 2);
+  EXPECT_EQ(ctx.stats.get("incremented"), 1);
+  // Per-pass wall time renders under the manager's prefix, for the passes
+  // that ran only.
+  Statistics rendered;
+  pm.add_times(times, rendered);
+  EXPECT_TRUE(rendered.has("t.double"));
+  EXPECT_TRUE(rendered.has("t.inc"));
+  EXPECT_FALSE(rendered.has("t.unused"));
+  EXPECT_EQ(pm.timer_pass("t.inc"), std::optional<size_t>(1));
+  EXPECT_EQ(pm.timer_pass("t.triple"), std::nullopt);
+  EXPECT_EQ(pm.timer_pass("inc"), std::nullopt);
 }
 
 TEST(PassManagerGeneric, FirstUnknownFindsBadName) {
   PassManager<int, TestCtx> pm;
-  pm.register_pass("a", "", [](int&, TestCtx&, Statistics&) {});
+  pm.register_pass("a", "", [](int&, TestCtx&) {});
   EXPECT_FALSE(pm.first_unknown(*PipelineSpec::parse("a,a")).has_value());
   const auto unknown = pm.first_unknown(*PipelineSpec::parse("a,b,a"));
   ASSERT_TRUE(unknown.has_value());
@@ -228,9 +235,11 @@ TEST(IrPipeline, SpecMatchesLegacyScheduleOnIr) {
           run_passes(legacy, passes);
         }
 
-        IRPipelineContext ctx;
-        ir_pass_manager().run(default_ir_pipeline(passes, vectorize), piped,
-                              ctx);
+        Statistics stats;
+        IRPipelineContext ctx{stats, {}};
+        ir_pass_manager().run(
+            ir_pass_manager().resolve(default_ir_pipeline(passes, vectorize)),
+            piped, ctx);
 
         EXPECT_EQ(piped.str(), legacy.str())
             << "vec=" << vectorize << " ifcvt=" << if_convert
@@ -295,12 +304,51 @@ TEST(IrPipeline, CompileReportsPerPassTimes) {
 TEST(JitPipeline, JitReportsPerPassTimes) {
   const Module module = value_or_die(compile_module(table1_kernels()[0].source));
   for (TargetKind kind : all_targets()) {
-    JitCompiler jit(target_desc(kind));
+    const MachineDesc& desc = target_desc(kind);
+    JitCompiler jit(desc);
     const JitArtifact artifact = jit.compile(module, 0);
     EXPECT_TRUE(artifact.stats.has("jit.pass_us.stack_to_reg"));
     EXPECT_TRUE(artifact.stats.has("jit.pass_us.peephole"));
     EXPECT_TRUE(artifact.stats.has("jit.pass_us.regalloc"));
+    // A pass the target's chain leaves out has no timer at all.
+    EXPECT_EQ(artifact.stats.has("jit.pass_us.fma"), desc.has_fma);
+    EXPECT_EQ(artifact.stats.has("jit.pass_us.devectorize"), !desc.has_simd);
   }
+}
+
+TEST(JitPipeline, DefaultPassesAreTheResolvedDefaultSpec) {
+  for (TargetKind kind : all_targets()) {
+    const MachineDesc& desc = target_desc(kind);
+    EXPECT_EQ(default_jit_passes(desc).passes,
+              jit_pass_manager().resolve(default_jit_pipeline(desc)).passes)
+        << desc.name;
+  }
+}
+
+TEST(JitPipeline, CountersRoundTripThroughStatistics) {
+  const Module module =
+      value_or_die(compile_module(table1_kernels()[1].source));
+  JitCompiler jit(target_desc(TargetKind::SparcSim));
+  const JitArtifact artifact = jit.compile(module, 0);
+  Statistics rendered;
+  artifact.stats.add_to(rendered);
+  EXPECT_TRUE(rendered.has("jit.code_bytes"));
+  EXPECT_TRUE(rendered.has("jit.spilled_vregs"));
+  EXPECT_TRUE(rendered.has("jit.pass_us.devectorize"));
+  EXPECT_FALSE(rendered.has("jit.fma_formed"));  // sparcsim has no FMA
+  for (const auto& [key, value] : rendered.all()) {
+    EXPECT_TRUE(artifact.stats.has(key)) << key;
+    EXPECT_EQ(artifact.stats.get(key), value) << key;
+  }
+
+  const auto back = JitCounters::from_statistics(rendered);
+  ASSERT_TRUE(back.has_value());
+  Statistics again;
+  back->add_to(again);
+  EXPECT_EQ(again.all(), rendered.all());
+
+  rendered.add("jit.not_a_counter", 1);
+  EXPECT_FALSE(JitCounters::from_statistics(rendered).has_value());
 }
 
 // --- tuner over pipeline specs -------------------------------------------------

@@ -562,7 +562,7 @@ std::vector<Outcome> run_everywhere(const Row& row) {
   }
   for (const TargetKind target : all_targets()) {
     const MachineDesc& desc = target_desc(target);
-    const std::vector<MFunction> code = JitCompiler(desc).compile_module(m);
+    const CodeImage code = JitCompiler(desc).compile_module(m);
     Memory mem(kMemBytes);
     setup(mem, row);
     Simulator sim(desc, code, mem);

@@ -129,6 +129,17 @@ TEST(Statistics, AddGetMergeDump) {
   EXPECT_NE(s.dump().find("spills=15"), std::string::npos);
 }
 
+TEST(Statistics, TimersRoundToTheNearestMicrosecond) {
+  using std::chrono::nanoseconds;
+  EXPECT_EQ(round_to_us(nanoseconds(0)), 0);
+  EXPECT_EQ(round_to_us(nanoseconds(499)), 0);
+  EXPECT_EQ(round_to_us(nanoseconds(999)), 1);
+  EXPECT_EQ(round_to_us(nanoseconds(1'000)), 1);
+  EXPECT_EQ(round_to_us(nanoseconds(1'499)), 1);
+  EXPECT_EQ(round_to_us(nanoseconds(1'500)), 2);
+  EXPECT_EQ(round_to_us(nanoseconds(2'000'000)), 2'000);
+}
+
 TEST(Diagnostics, CountsAndFormats) {
   DiagnosticEngine diags;
   EXPECT_FALSE(diags.has_errors());

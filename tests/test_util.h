@@ -235,7 +235,7 @@ inline void run_differential(
   for (TargetKind kind : all_targets()) {
     const MachineDesc& desc = target_desc(kind);
     JitCompiler jit(desc, {policy, true});
-    const std::vector<MFunction> code = jit.compile_module(module);
+    const CodeImage code = jit.compile_module(module);
 
     Memory mem(1 << 20);
     setup(mem);
