@@ -213,9 +213,10 @@ Result<ModuleHandle> Engine::compile(std::string_view source,
                                      Statistics* stats) const {
   OfflineOptions offline = options_.offline;
   if (profile_) offline.profile = profile_.get();
+  // compile_module verifies the module it returns.
   Result<Module> module = compile_module(source, offline, stats);
   if (!module.ok()) return Result<ModuleHandle>::failure(module.error());
-  return ModuleHandle::adopt(std::move(module).value());
+  return ModuleHandle::adopt_verified(std::move(module).value());
 }
 
 Result<ModuleHandle> Engine::load_bytecode(
@@ -231,7 +232,7 @@ Result<ModuleHandle> Engine::load_bytecode(
                        loaded.module->name() + "'");
     return Result<ModuleHandle>::failure(diags.all());
   }
-  return ModuleHandle::adopt(std::move(*loaded.module));
+  return ModuleHandle::adopt_verified(std::move(*loaded.module));
 }
 
 std::vector<uint8_t> Engine::save_bytecode(const ModuleHandle& module) {
@@ -253,7 +254,9 @@ Result<Deployment> Engine::deploy(const ModuleHandle& module,
       std::max<size_t>(options_.memory_bytes, module->memory_hint());
   auto soc = std::make_unique<Soc>(std::move(cores), memory_bytes,
                                    options_.jit, options_.runtime);
-  if (Result<void> r = soc->load_module(module.shared()); !r.ok()) {
+  if (module.verified()) {
+    soc->load_verified_module(module.shared());
+  } else if (Result<void> r = soc->load_module(module.shared()); !r.ok()) {
     return Result<Deployment>::failure(r.error());
   }
   return Deployment(std::move(soc), module);

@@ -60,8 +60,23 @@ class ModuleHandle {
     return module_ ? module_->name() : kEmpty;
   }
 
+  /// True when the module passed verify_module as this handle was made:
+  /// Engine::compile and Engine::load_bytecode verify what they return,
+  /// so Engine::deploy does not verify it again. A handle made from a
+  /// caller's module (the constructor, adopt) is not marked, and deploy
+  /// verifies it.
+  [[nodiscard]] bool verified() const { return verified_; }
+
  private:
+  friend class Engine;
+  [[nodiscard]] static ModuleHandle adopt_verified(Module module) {
+    ModuleHandle handle = adopt(std::move(module));
+    handle.verified_ = true;
+    return handle;
+  }
+
   std::shared_ptr<const Module> module_;
+  bool verified_ = false;
 };
 
 }  // namespace svc

@@ -246,14 +246,17 @@ size_t OnlineTarget::code_bytes() const {
 CodeCache::Artifact OnlineTarget::compile(const Compiler& compiler,
                                           uint32_t func_idx, uint32_t tier,
                                           uint64_t profile_hash) const {
+  TranslationMemo* translations =
+      config_.translations ? config_.translations : &translations_;
+  const auto jit = [&] {
+    return compiler.jit.compile(*module_, func_idx, translations);
+  };
   if (config_.cache) {
     const CodeCacheKey key{module_->id(),        func_idx, desc_.kind,
                            compiler.options_key, tier,     profile_hash};
-    return config_.cache->get_or_compile(
-        key, [&] { return compiler.jit.compile(*module_, func_idx); });
+    return config_.cache->get_or_compile(key, jit);
   }
-  return std::make_shared<const JitArtifact>(
-      compiler.jit.compile(*module_, func_idx));
+  return std::make_shared<const JitArtifact>(jit());
 }
 
 void OnlineTarget::request_locked(uint32_t func_idx, uint32_t tier,

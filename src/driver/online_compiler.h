@@ -88,6 +88,10 @@ struct OnlineTargetConfig {
   // cache, so streams are still lowered once per deployment rather than
   // once per call.
   PredecodeCache* predecode = nullptr;
+  // The JIT's target-neutral translations, shared the same way: with one
+  // memo across a Soc, each function is translated once for every core
+  // (JitCompiler::compile). Without one the target keeps a private memo.
+  TranslationMemo* translations = nullptr;
 };
 
 /// Calls served per tier since load, one snapshot taken under one lock:
@@ -263,6 +267,9 @@ class OnlineTarget {
   std::shared_ptr<const Module> module_;
   // Fallback tier-0 stream cache when config_.predecode is not set.
   PredecodeCache predecode_;
+  // Fallback translation memo when config_.translations is not set;
+  // thread-safe, so compile() may fill it from const context.
+  mutable TranslationMemo translations_;
   // Everything below is guarded by mutex_.
   mutable std::mutex mutex_;
   std::vector<FuncState> states_;

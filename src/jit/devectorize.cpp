@@ -1,5 +1,6 @@
 #include "jit/devectorize.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -40,10 +41,8 @@ class Devectorizer {
     for (const Reg& p : fn_.param_regs) {
       if (p.cls == RegClass::Vec) fatal("devectorize: v128 parameter");
     }
-    for (const auto& site : fn_.call_sites) {
-      for (const Reg& r : site) {
-        if (r.cls == RegClass::Vec) fatal("devectorize: v128 call argument");
-      }
+    for (const Reg& r : fn_.call_sites.all()) {
+      if (r.cls == RegClass::Vec) fatal("devectorize: v128 call argument");
     }
     infer_lane_kinds();
     compute_aliasable();
@@ -509,12 +508,25 @@ class Devectorizer {
       block.insts = std::move(out_);
     }
 
-    // Vector locals now map to their lane registers.
-    for (auto& lane_regs : fn_.local_regs) {
-      if (lane_regs.size() == 1 && lane_regs[0].cls == RegClass::Vec) {
-        lane_regs = lanes_of(lane_regs[0]).lanes;
+    // Vector locals now map to their lane registers (a local's list holds
+    // a v128 register only while it is the one vreg of a vector local).
+    const auto all = fn_.local_regs.all();
+    if (std::none_of(all.begin(), all.end(), [](const Reg& r) {
+          return r.cls == RegClass::Vec;
+        })) {
+      return;
+    }
+    RegLists locals;
+    locals.reserve(fn_.local_regs.size(), all.size());
+    for (size_t l = 0; l < fn_.local_regs.size(); ++l) {
+      const std::span<const Reg> regs = fn_.local_regs[l];
+      if (regs.size() == 1 && regs[0].cls == RegClass::Vec) {
+        locals.push_back(lanes_of(regs[0]).lanes);
+      } else {
+        locals.push_back(regs);
       }
     }
+    fn_.local_regs = std::move(locals);
   }
 
   MFunction& fn_;

@@ -86,9 +86,7 @@ class Peephole {
     auto pin = [&](Reg r) {
       if (!r.is_slot()) dense_at<uint8_t>(pinned_, vreg_key(r)) = 1;
     };
-    for (const auto& lanes : fn.local_regs) {
-      for (const Reg& r : lanes) pin(r);
-    }
+    for (const Reg& r : fn.local_regs.all()) pin(r);
     for (const Reg& r : fn.param_regs) pin(r);
     move_head_.assign(uses_.size(), kNone);
 

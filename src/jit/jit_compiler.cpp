@@ -1,5 +1,7 @@
 #include "jit/jit_compiler.h"
 
+#include <algorithm>
+
 #include "jit/jit_pipeline.h"
 
 namespace svc {
@@ -28,6 +30,13 @@ std::optional<size_t> counter_index(std::string_view key) {
     if (kCounterKeys[i] == key) return i;
   }
   return std::nullopt;
+}
+
+/// True when `pipeline` begins with the passes a JitTranslation holds.
+bool starts_with_translation(const ResolvedPipeline& pipeline) {
+  const auto& head = jit_translation_passes().passes;
+  return pipeline.passes.size() >= head.size() &&
+         std::equal(head.begin(), head.end(), pipeline.passes.begin());
 }
 
 }  // namespace
@@ -83,6 +92,7 @@ JitCompiler::JitCompiler(const MachineDesc& desc, JitOptions options)
     : desc_(desc), options_(std::move(options)) {
   if (!options_.pipeline) {
     pipeline_ = default_jit_passes(desc_);
+    translation_prefix_ = starts_with_translation(pipeline_);
     return;
   }
   const PipelineSpec& spec = *options_.pipeline;
@@ -97,19 +107,37 @@ JitCompiler::JitCompiler(const MachineDesc& desc, JitOptions options)
                       "' must start with stack_to_reg";
   } else {
     pipeline_ = jit_pass_manager().resolve(spec);
+    translation_prefix_ = starts_with_translation(pipeline_);
   }
 }
 
-JitArtifact JitCompiler::compile(const Module& module,
-                                 uint32_t func_idx) const {
+JitArtifact JitCompiler::compile(const Module& module, uint32_t func_idx,
+                                 TranslationMemo* translations) const {
   const auto t0 = std::chrono::steady_clock::now();
   if (!pipeline_error_.empty()) fatal(pipeline_error_);
 
+  const Function& fn = module.function(func_idx);
   JitArtifact artifact;
-  JitPipelineContext ctx{module, module.function(func_idx), desc_, options_,
-                         artifact.stats};
+  size_t first = 0;
+  if (translations && translation_prefix_) {
+    bool built = false;
+    const auto shared = translations->get(module, func_idx, 0, [&] {
+      built = true;
+      JitTranslation t;
+      JitPipelineContext ctx{module, fn, desc_, options_, t.stats};
+      jit_pass_manager().run(jit_translation_passes(), t.code, ctx,
+                             &t.stats.pass_us());
+      return t;
+    });
+    artifact.code = shared->code;
+    artifact.stats = shared->stats;
+    // The passes ran once, for the compile that built the entry.
+    if (!built) artifact.stats.pass_us().us.fill(0);
+    first = jit_translation_passes().passes.size();
+  }
+  JitPipelineContext ctx{module, fn, desc_, options_, artifact.stats};
   jit_pass_manager().run(pipeline_, artifact.code, ctx,
-                         &artifact.stats.pass_us());
+                         &artifact.stats.pass_us(), first);
   artifact.stats.add(JitCounters::CodeBytes,
                      static_cast<int64_t>(artifact.code.code_bytes()));
 

@@ -6,7 +6,9 @@
 // Pipeline: stack-to-register translation -> peephole cleanup ->
 // [FMA formation if has_fma] -> [de-vectorization if !has_simd, plus a
 // second cleanup] -> register allocation (policy-selectable; SplitGuided
-// consumes the SpillPriority annotation).
+// consumes the SpillPriority annotation). The first two passes do not
+// depend on the target, so compilers that share a TranslationMemo run
+// them once per function and continue from a copy of the result.
 #pragma once
 
 #include <array>
@@ -15,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bytecode/function_memo.h"
 #include "bytecode/module.h"
 #include "regalloc/linear_scan.h"
 #include "support/pass_manager.h"
@@ -99,6 +102,17 @@ struct JitArtifact {
   double compile_seconds = 0.0;
 };
 
+/// One function after the target-neutral head of a JIT pipeline,
+/// stack_to_reg then peephole, with those passes' counters and times.
+struct JitTranslation {
+  MFunction code;
+  JitCounters stats;
+};
+
+/// Per-function translations shared by the compilers of every core of a
+/// Soc (a standalone OnlineTarget keeps its own).
+using TranslationMemo = FunctionMemo<JitTranslation>;
+
 class JitCompiler {
  public:
   /// Resolves the pipeline (options.pipeline, or the target's default)
@@ -112,8 +126,17 @@ class JitCompiler {
   /// only the immutable target description / options and the process-wide
   /// pass registry (built once), so background compile jobs may share one
   /// JitCompiler across threads.
-  [[nodiscard]] JitArtifact compile(const Module& module,
-                                    uint32_t func_idx) const;
+  ///
+  /// With `translations`, a pipeline that begins stack_to_reg,peephole
+  /// (every default and tier-2 one) takes the function's translation from
+  /// the memo, building it there on first use, and runs only the passes
+  /// after it. The artifact is the one a compile without the memo makes:
+  /// the same code and counters, and the two passes still marked as run,
+  /// with their wall time counted by the compile that built the entry
+  /// and 0 in the others.
+  [[nodiscard]] JitArtifact compile(
+      const Module& module, uint32_t func_idx,
+      TranslationMemo* translations = nullptr) const;
 
   /// Compiles every function; `aggregate` (optional) accumulates stats.
   [[nodiscard]] CodeImage compile_module(
@@ -123,6 +146,8 @@ class JitCompiler {
   const MachineDesc& desc_;
   const JitOptions options_;
   ResolvedPipeline pipeline_;
+  // pipeline_ begins with the passes a JitTranslation holds the result of.
+  bool translation_prefix_ = false;
   std::string pipeline_error_;  // why options_.pipeline cannot run, if so
 };
 

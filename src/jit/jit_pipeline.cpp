@@ -96,6 +96,12 @@ PipelineSpec default_jit_pipeline(const MachineDesc& desc) {
   return spec;
 }
 
+const ResolvedPipeline& jit_translation_passes() {
+  static const ResolvedPipeline resolved =
+      jit_pass_manager().resolve(PipelineSpec({"stack_to_reg", "peephole"}));
+  return resolved;
+}
+
 const ResolvedPipeline& default_jit_passes(const MachineDesc& desc) {
   static const auto resolved = [] {
     std::array<ResolvedPipeline, 4> out;

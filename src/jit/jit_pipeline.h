@@ -45,6 +45,11 @@ using JitPassManager = PassManager<MFunction, JitPipelineContext>;
 /// peephole], regalloc -- gates resolved against `desc` capabilities.
 [[nodiscard]] PipelineSpec default_jit_pipeline(const MachineDesc& desc);
 
+/// The target-neutral head of every default and tier-2 pipeline,
+/// stack_to_reg then peephole, resolved: what a JitTranslation holds the
+/// result of.
+[[nodiscard]] const ResolvedPipeline& jit_translation_passes();
+
 /// default_jit_pipeline(desc) resolved against jit_pass_manager(). The
 /// chain depends only on has_fma and has_simd, so its four shapes are
 /// resolved once per process.

@@ -1,5 +1,6 @@
 #include "jit/stack_to_reg.h"
 
+#include <span>
 #include <vector>
 
 #include "support/diagnostics.h"
@@ -18,10 +19,11 @@ class Translator {
     out_.blocks.resize(fn_.num_blocks());
 
     // Locals (including parameters) get dedicated vregs.
-    out_.local_regs.resize(fn_.num_locals());
+    out_.local_regs.reserve(fn_.num_locals(), fn_.num_locals());
+    out_.param_regs.reserve(fn_.num_params());
     for (uint32_t l = 0; l < fn_.num_locals(); ++l) {
       const Reg r = fresh(reg_class_for(fn_.local_type(l)));
-      out_.local_regs[l] = {r};
+      out_.local_regs.append(1)[0] = r;
       if (l < fn_.num_params()) out_.param_regs.push_back(r);
     }
 
@@ -40,6 +42,9 @@ class Translator {
     out_.blocks[block].insts.push_back(inst);
   }
 
+  /// The vreg of SVIL local `l` (one per local before de-vectorization).
+  Reg local_reg(uint32_t l) const { return out_.local_regs.all()[l]; }
+
   Reg pop() {
     Reg r = stack_.back();
     stack_.pop_back();
@@ -48,9 +53,15 @@ class Translator {
 
   void translate_block(uint32_t b) {
     stack_.clear();
-    for (const Instruction& inst : fn_.block(b).insts) {
-      translate_inst(b, inst);
+    const auto& insts = fn_.block(b).insts;
+    // Sized once: an instruction emits at most one machine instruction,
+    // except a LocalSet, which may first save the local's old value.
+    size_t bound = insts.size();
+    for (const Instruction& inst : insts) {
+      if (inst.op == Opcode::LocalSet) ++bound;
     }
+    out_.blocks[b].insts.reserve(bound);
+    for (const Instruction& inst : insts) translate_inst(b, inst);
   }
 
   void translate_inst(uint32_t b, const Instruction& inst) {
@@ -79,11 +90,11 @@ class Translator {
         return;
       }
       case Opcode::LocalGet:
-        stack_.push_back(out_.local_regs[inst.a][0]);
+        stack_.push_back(local_reg(inst.a));
         return;
       case Opcode::LocalSet: {
         const Reg value = pop();
-        const Reg local = out_.local_regs[inst.a][0];
+        const Reg local = local_reg(inst.a);
         // Any still-pending stack reads of the local's old value must be
         // preserved before the overwrite.
         for (Reg& s : stack_) {
@@ -138,13 +149,12 @@ class Translator {
       }
       case Opcode::Call: {
         const Function& callee = module_.function(inst.a);
-        std::vector<Reg> args(callee.num_params());
-        for (size_t i = callee.num_params(); i-- > 0;) args[i] = pop();
         MInst m;
         m.op = mop(inst.op);
         m.a = inst.a;
         m.imm = static_cast<int64_t>(out_.call_sites.size());
-        out_.call_sites.push_back(std::move(args));
+        const std::span<Reg> args = out_.call_sites.append(callee.num_params());
+        for (size_t i = args.size(); i-- > 0;) args[i] = pop();
         if (callee.sig().ret != Type::Void) {
           m.dst = fresh(reg_class_for(callee.sig().ret));
           stack_.push_back(m.dst);

@@ -185,12 +185,8 @@ void rewrite_spills(MFunction& fn, const MachineDesc& desc,
     }
   };
   for (Reg& r : fn.param_regs) map_flat(r);
-  for (auto& site : fn.call_sites) {
-    for (Reg& r : site) map_flat(r);
-  }
-  for (auto& lane_regs : fn.local_regs) {
-    for (Reg& r : lane_regs) map_flat(r);
-  }
+  for (Reg& r : fn.call_sites.all()) map_flat(r);
+  for (Reg& r : fn.local_regs.all()) map_flat(r);
 
   // Emits `inst` with its registers mapped, preceded by one reload into a
   // scratch register per spilled source and followed by one store for a

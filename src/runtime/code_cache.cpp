@@ -13,25 +13,31 @@ CodeCache::Artifact CodeCache::get_or_compile(const CodeCacheKey& key,
   assert(key.module_id != 0 && "CodeCacheKey with dead module id");
   std::promise<Artifact> promise;
   std::optional<PersistentCacheKey> disk_key;
+  // The in-flight node this call fills. Nodes of an unordered_map keep
+  // their address across rehashing, and nothing else erases an in-flight
+  // node, so the pointer outlives the unlocked compile below.
+  Node* node = nullptr;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (auto it = entries_.find(key); it != entries_.end()) {
-      stats_.add("cache.hits", 1);
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.artifact;
-    }
-    if (auto it = inflight_.find(key); it != inflight_.end()) {
+    auto [it, inserted] = entries_.try_emplace(key);
+    if (!inserted) {
+      Entry& entry = it->second;
+      count_locked(Hits);
+      if (entry.artifact) {
+        lru_.splice(lru_.begin(), lru_, entry.lru_it);
+        return entry.artifact;
+      }
       // Another thread is compiling this key right now: count it as a hit
       // (no compile happens on our behalf) and join its result.
-      stats_.add("cache.hits", 1);
-      stats_.add("cache.coalesced", 1);
-      std::shared_future<Artifact> future = it->second;
+      count_locked(Coalesced);
+      std::shared_future<Artifact> future = entry.pending;
       lock.unlock();
       return future.get();
     }
-    stats_.add("cache.misses", 1);
+    count_locked(Misses);
     disk_key = disk_key_locked(key);
-    inflight_.emplace(key, promise.get_future().share());
+    it->second.pending = promise.get_future().share();
+    node = &*it;
   }
 
   // Second level: consult the on-disk store before compiling. The probe
@@ -45,9 +51,8 @@ CodeCache::Artifact CodeCache::get_or_compile(const CodeCacheKey& key,
         Artifact artifact = loaded.artifact;
         {
           std::lock_guard<std::mutex> lock(mutex_);
-          stats_.add("cache.disk_hits", 1);
-          insert_locked(key, artifact);
-          inflight_.erase(key);
+          count_locked(DiskHits);
+          publish_locked(*node, artifact);
         }
         promise.set_value(artifact);
         return artifact;
@@ -57,13 +62,13 @@ CodeCache::Artifact CodeCache::get_or_compile(const CodeCacheKey& key,
         // (never a crash); counted, then recompiled and overwritten.
         {
           std::lock_guard<std::mutex> lock(mutex_);
-          stats_.add("cache.disk_rejects", 1);
-          stats_.add("cache.disk_misses", 1);
+          count_locked(DiskRejects);
+          count_locked(DiskMisses);
         }
         break;
       case PersistentCache::LoadStatus::Miss: {
         std::lock_guard<std::mutex> lock(mutex_);
-        stats_.add("cache.disk_misses", 1);
+        count_locked(DiskMisses);
         break;
       }
     }
@@ -79,7 +84,7 @@ CodeCache::Artifact CodeCache::get_or_compile(const CodeCacheKey& key,
     // coalesced waiters, and let a later request try again.
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      inflight_.erase(key);
+      entries_.erase(key);
     }
     promise.set_exception(std::current_exception());
     throw;
@@ -93,13 +98,12 @@ CodeCache::Artifact CodeCache::get_or_compile(const CodeCacheKey& key,
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.add("cache.compiles", 1);
-    if (wrote) stats_.add("cache.disk_writes", 1);
-    insert_locked(key, artifact);
-    inflight_.erase(key);
+    count_locked(Compiles);
+    if (wrote) count_locked(DiskWrites);
+    publish_locked(*node, artifact);
   }
-  // Fulfilled after the entry is visible; waiters got their future copy
-  // under the lock, so erasing the in-flight slot first is safe.
+  // Fulfilled after the entry is resident; waiters got their future copy
+  // under the lock, so dropping the node's copy first is safe.
   promise.set_value(artifact);
   return artifact;
 }
@@ -158,47 +162,63 @@ size_t CodeCache::code_bytes() const {
 
 size_t CodeCache::num_entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return resident_;
 }
 
 Statistics CodeCache::stats() const {
+  static constexpr const char* kKeys[kNumCounters] = {
+      "cache.hits",        "cache.misses",      "cache.compiles",
+      "cache.coalesced",   "cache.evictions",   "cache.disk_hits",
+      "cache.disk_misses", "cache.disk_writes", "cache.disk_rejects",
+      "cache.bytes",
+  };
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Statistics out;
+  for (size_t c = 0; c < kNumCounters; ++c) {
+    if (present_ & (uint32_t{1} << c)) {
+      out.set(kKeys[c], c == Bytes ? static_cast<int64_t>(bytes_) : counts_[c]);
+    }
+  }
+  return out;
 }
 
 void CodeCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
+  // In-flight nodes stay: their compiles publish into them.
+  std::erase_if(entries_, [](const Node& node) {
+    return node.second.artifact != nullptr;
+  });
   lru_.clear();
+  resident_ = 0;
   bytes_ = 0;
-  stats_.set("cache.bytes", 0);
+  count_locked(Bytes, 0);
 }
 
-void CodeCache::insert_locked(const CodeCacheKey& key, Artifact artifact) {
-  lru_.push_front(key);
-  Entry entry;
+void CodeCache::publish_locked(Node& node, Artifact artifact) {
+  Entry& entry = node.second;
   entry.bytes = artifact->code.code_bytes();
   entry.artifact = std::move(artifact);
+  entry.pending = {};
+  lru_.push_front(&node.first);
   entry.lru_it = lru_.begin();
+  ++resident_;
   bytes_ += entry.bytes;
-  entries_.emplace(key, std::move(entry));
   evict_to_budget_locked();
-  stats_.set("cache.bytes", static_cast<int64_t>(bytes_));
 }
 
 void CodeCache::evict_to_budget_locked() {
   // The budget is soft for a single artifact: the most recent entry stays
   // resident even when it alone exceeds the budget (there is nothing
   // cheaper to run instead).
-  while (bytes_ > budget_ && entries_.size() > 1) {
-    const CodeCacheKey victim = lru_.back();
+  while (bytes_ > budget_ && resident_ > 1) {
+    const auto it = entries_.find(*lru_.back());
     lru_.pop_back();
-    const auto it = entries_.find(victim);
     bytes_ -= it->second.bytes;
+    --resident_;
     entries_.erase(it);
-    stats_.add("cache.evictions", 1);
+    count_locked(Evictions);
   }
-  stats_.set("cache.bytes", static_cast<int64_t>(bytes_));
+  count_locked(Bytes, 0);
 }
 
 }  // namespace svc

@@ -15,6 +15,7 @@
 // already holds; an evicted-then-requested key simply recompiles.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -159,13 +160,39 @@ class CodeCache {
   void clear();
 
  private:
+  // One node per key, resident or in flight, so a miss copies its key
+  // (and the options_key string in it) once. The LRU list points at the
+  // keys in the nodes, which stay put until the node is erased.
   struct Entry {
-    Artifact artifact;
+    Artifact artifact;  // null while the first compile is in flight
+    std::shared_future<Artifact> pending;  // valid while in flight
     size_t bytes = 0;
-    std::list<CodeCacheKey>::iterator lru_it;
+    std::list<const CodeCacheKey*>::iterator lru_it;
   };
+  using Node = std::pair<const CodeCacheKey, Entry>;
 
-  void insert_locked(const CodeCacheKey& key, Artifact artifact);
+  // The stats() counters as fixed fields. A counter nothing touched is
+  // absent from stats(), as a key never added to a Statistics is.
+  enum Counter : uint8_t {
+    Hits,
+    Misses,
+    Compiles,
+    Coalesced,
+    Evictions,
+    DiskHits,
+    DiskMisses,
+    DiskWrites,
+    DiskRejects,
+    Bytes,  // a gauge: bytes_, reported once the first insert set it
+    kNumCounters,
+  };
+  void count_locked(Counter c, int64_t delta = 1) {
+    counts_[c] += delta;
+    present_ |= uint32_t{1} << c;
+  }
+
+  /// Makes the in-flight `node` resident with `artifact`.
+  void publish_locked(Node& node, Artifact artifact);
   void evict_to_budget_locked();
   /// The disk spelling of `key` when an on-disk probe is possible (store
   /// attached, module registered, function index in range).
@@ -180,11 +207,10 @@ class CodeCache {
   // by loaders; consulted to translate in-memory keys to disk keys.
   std::unordered_map<uint64_t, std::vector<uint64_t>> content_hashes_;
   std::unordered_map<CodeCacheKey, Entry, CodeCacheKeyHash> entries_;
-  std::list<CodeCacheKey> lru_;  // front = most recently used
-  std::unordered_map<CodeCacheKey, std::shared_future<Artifact>,
-                     CodeCacheKeyHash>
-      inflight_;
-  Statistics stats_;
+  size_t resident_ = 0;  // entries_ with an artifact
+  std::list<const CodeCacheKey*> lru_;  // front = most recently used
+  std::array<int64_t, kNumCounters> counts_{};
+  uint32_t present_ = 0;
 };
 
 }  // namespace svc

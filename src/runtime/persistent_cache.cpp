@@ -129,22 +129,49 @@ std::optional<MInst> read_minst(ByteReader& r) {
   return inst;
 }
 
-void write_reg_vector(std::vector<uint8_t>& out, const std::vector<Reg>& regs) {
+void write_regs(std::vector<uint8_t>& out, std::span<const Reg> regs) {
   write_uleb(out, regs.size());
   for (const Reg& reg : regs) write_reg(out, reg);
 }
 
-std::optional<std::vector<Reg>> read_reg_vector(ByteReader& r) {
+/// Reads `out.size()` registers into `out`; the caller sized it from the
+/// list's length prefix (read_count).
+bool read_regs(ByteReader& r, std::span<Reg> out) {
+  for (Reg& reg : out) {
+    const auto read = read_reg(r);
+    if (!read) return false;
+    reg = *read;
+  }
+  return true;
+}
+
+/// A length prefix of a register list or of a list of them.
+std::optional<size_t> read_count(ByteReader& r) {
   const auto n = r.read_uleb();
   if (!n || *n > (1u << 20)) return std::nullopt;
-  std::vector<Reg> regs;
-  regs.reserve(static_cast<size_t>(*n));
-  for (uint64_t i = 0; i < *n; ++i) {
-    const auto reg = read_reg(r);
-    if (!reg) return std::nullopt;
-    regs.push_back(*reg);
+  return static_cast<size_t>(*n);
+}
+
+/// Writes a RegLists as the list count then each list, length-prefixed:
+/// the bytes a vector of register vectors was written as.
+void write_reg_lists(std::vector<uint8_t>& out, const RegLists& lists) {
+  write_uleb(out, lists.size());
+  for (size_t i = 0; i < lists.size(); ++i) write_regs(out, lists[i]);
+}
+
+std::optional<RegLists> read_reg_lists(ByteReader& r) {
+  const auto n = read_count(r);
+  if (!n) return std::nullopt;
+  RegLists lists;
+  for (size_t i = 0; i < *n; ++i) {
+    const auto count = read_count(r);
+    // RegLists indexes its registers with 32 bits.
+    if (!count || lists.all().size() + *count > UINT32_MAX ||
+        !read_regs(r, lists.append(*count))) {
+      return std::nullopt;
+    }
   }
-  return regs;
+  return lists;
 }
 
 void write_mfunction(std::vector<uint8_t>& out, const MFunction& fn) {
@@ -153,11 +180,9 @@ void write_mfunction(std::vector<uint8_t>& out, const MFunction& fn) {
   out.push_back(fn.allocated ? 1 : 0);
   for (size_t c = 0; c < kNumRegClasses; ++c) write_uleb(out, fn.num_vregs[c]);
   for (size_t c = 0; c < kNumRegClasses; ++c) write_uleb(out, fn.num_slots[c]);
-  write_reg_vector(out, fn.param_regs);
-  write_uleb(out, fn.call_sites.size());
-  for (const auto& site : fn.call_sites) write_reg_vector(out, site);
-  write_uleb(out, fn.local_regs.size());
-  for (const auto& regs : fn.local_regs) write_reg_vector(out, regs);
+  write_regs(out, fn.param_regs);
+  write_reg_lists(out, fn.call_sites);
+  write_reg_lists(out, fn.local_regs);
   write_uleb(out, fn.blocks.size());
   for (const MBlock& block : fn.blocks) {
     write_uleb(out, block.insts.size());
@@ -187,23 +212,15 @@ std::optional<MFunction> read_mfunction(ByteReader& r) {
     if (!v || *v > UINT32_MAX) return std::nullopt;
     fn.num_slots[c] = static_cast<uint32_t>(*v);
   }
-  auto params = read_reg_vector(r);
-  if (!params) return std::nullopt;
-  fn.param_regs = std::move(*params);
-  const auto nsites = r.read_uleb();
-  if (!nsites || *nsites > (1u << 20)) return std::nullopt;
-  for (uint64_t i = 0; i < *nsites; ++i) {
-    auto site = read_reg_vector(r);
-    if (!site) return std::nullopt;
-    fn.call_sites.push_back(std::move(*site));
-  }
-  const auto nlocals = r.read_uleb();
-  if (!nlocals || *nlocals > (1u << 20)) return std::nullopt;
-  for (uint64_t i = 0; i < *nlocals; ++i) {
-    auto regs = read_reg_vector(r);
-    if (!regs) return std::nullopt;
-    fn.local_regs.push_back(std::move(*regs));
-  }
+  const auto nparams = read_count(r);
+  if (!nparams) return std::nullopt;
+  fn.param_regs.resize(*nparams);
+  if (!read_regs(r, fn.param_regs)) return std::nullopt;
+  auto sites = read_reg_lists(r);
+  auto locals = sites ? read_reg_lists(r) : std::nullopt;
+  if (!locals) return std::nullopt;
+  fn.call_sites = std::move(*sites);
+  fn.local_regs = std::move(*locals);
   const auto nblocks = r.read_uleb();
   if (!nblocks || *nblocks > (1u << 20)) return std::nullopt;
   for (uint64_t b = 0; b < *nblocks; ++b) {

@@ -31,7 +31,8 @@ Soc::Soc(std::vector<CoreSpec> cores, size_t memory_bytes, JitOptions jit,
     pool_ = std::make_unique<ThreadPool>(options_.pool_threads);
   }
   const OnlineTarget::Config core_config{options_.tiers, &cache_,
-                                         pool_.get(), &predecode_};
+                                         pool_.get(), &predecode_,
+                                         &translations_};
   cores_.reserve(specs_.size());
   for (const CoreSpec& spec : specs_) {
     cores_.push_back(
@@ -52,6 +53,11 @@ Result<void> Soc::load_module(std::shared_ptr<const Module> module) {
     diags.note({}, "while loading module '" + module->name() + "'");
     return Result<void>::failure(diags.all());
   }
+  load_verified_module(std::move(module));
+  return {};
+}
+
+void Soc::load_verified_module(std::shared_ptr<const Module> module) {
   for (auto& core : cores_) core->load_verified_module(module);
   module_ = std::move(module);
 
@@ -65,7 +71,6 @@ Result<void> Soc::load_module(std::shared_ptr<const Module> module) {
       cores_[best]->request_compile(f);
     }
   }
-  return {};
 }
 
 void Soc::wait_warmup() {

@@ -93,6 +93,10 @@ class Soc {
   /// serves all ISAs).
   [[nodiscard]] PredecodeCache& predecode_cache() { return predecode_; }
 
+  /// The JIT translations shared by every core's compiler: each function
+  /// is translated once for all ISAs, on its first code-cache miss.
+  [[nodiscard]] TranslationMemo& translations() { return translations_; }
+
   /// Blocks until every in-flight background compile has finished.
   void wait_warmup();
 
@@ -156,6 +160,11 @@ class Soc {
   }
 
  private:
+  // Engine::deploy loads a module its ModuleHandle records as verified.
+  friend class Engine;
+  /// load_module without the verification, for a module that passed it.
+  void load_verified_module(std::shared_ptr<const Module> module);
+
   SocOptions options_;
   // Destruction order matters: cores_ is declared after cache_/pool_ so it
   // is destroyed first -- each ~OnlineTarget drains its in-flight compile
@@ -167,6 +176,7 @@ class Soc {
   // Shared across cores like cache_ (declared before cores_ for the same
   // destruction-order reason).
   PredecodeCache predecode_;
+  TranslationMemo translations_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<CoreSpec> specs_;
   std::vector<std::unique_ptr<OnlineTarget>> cores_;

@@ -164,11 +164,12 @@ class PassManager {
     return out;
   }
 
-  /// Runs `pipeline` over `unit` in order, adding every pass's wall time
-  /// to `times` (when given).
+  /// Runs `pipeline` over `unit` in order from its pass `first` on,
+  /// adding every pass's wall time to `times` (when given).
   void run(const ResolvedPipeline& pipeline, Unit& unit, Context& ctx,
-           PassTimes* times = nullptr) const {
-    for (const uint8_t pass : pipeline.passes) {
+           PassTimes* times = nullptr, size_t first = 0) const {
+    for (size_t i = first; i < pipeline.passes.size(); ++i) {
+      const uint8_t pass = pipeline.passes[i];
       const auto start = std::chrono::steady_clock::now();
       passes_[pass].fn(unit, ctx);
       if (times) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,17 +68,62 @@ inline constexpr size_t kNumRegClasses = 3;
 inline constexpr uint32_t kSlotFlag = 1u << 31;
 
 struct Reg {
-  RegClass cls = RegClass::Int;
+  // The index leads so the class and flag share its word's padding: a Reg
+  // is 8 bytes, and every JIT pass and the simulator copy or read them.
   uint32_t idx = 0;
+  RegClass cls = RegClass::Int;
   bool valid = false;
 
-  static Reg make(RegClass cls, uint32_t idx) { return {cls, idx, true}; }
+  static Reg make(RegClass cls, uint32_t idx) { return {idx, cls, true}; }
   static Reg slot(RegClass cls, uint32_t slot_idx) {
-    return {cls, slot_idx | kSlotFlag, true};
+    return {slot_idx | kSlotFlag, cls, true};
   }
   [[nodiscard]] bool is_slot() const { return (idx & kSlotFlag) != 0; }
   [[nodiscard]] uint32_t slot_index() const { return idx & ~kSlotFlag; }
   friend bool operator==(const Reg&, const Reg&) = default;
+};
+static_assert(sizeof(Reg) == 8);
+
+/// A list of register lists kept in two flat arrays: list i is
+/// regs[ends[i - 1], ends[i]) (from 0 for list 0). Building or copying
+/// one costs two allocations however many lists it holds.
+class RegLists {
+ public:
+  [[nodiscard]] size_t size() const { return ends_.size(); }
+  [[nodiscard]] std::span<const Reg> operator[](size_t i) const {
+    return std::span<const Reg>(regs_).subspan(begin(i), ends_[i] - begin(i));
+  }
+  [[nodiscard]] std::span<Reg> operator[](size_t i) {
+    return std::span<Reg>(regs_).subspan(begin(i), ends_[i] - begin(i));
+  }
+  /// Every register of every list, in list order.
+  [[nodiscard]] std::span<const Reg> all() const { return regs_; }
+  [[nodiscard]] std::span<Reg> all() { return regs_; }
+
+  void reserve(size_t lists, size_t regs) {
+    ends_.reserve(lists);
+    regs_.reserve(regs);
+  }
+  /// Appends a list of `n` invalid registers and returns it to fill in.
+  std::span<Reg> append(size_t n) {
+    regs_.resize(regs_.size() + n);
+    ends_.push_back(static_cast<uint32_t>(regs_.size()));
+    return (*this)[ends_.size() - 1];
+  }
+  void push_back(std::span<const Reg> list) {
+    regs_.insert(regs_.end(), list.begin(), list.end());
+    ends_.push_back(static_cast<uint32_t>(regs_.size()));
+  }
+
+  friend bool operator==(const RegLists&, const RegLists&) = default;
+
+ private:
+  [[nodiscard]] size_t begin(size_t i) const {
+    return i == 0 ? 0 : ends_[i - 1];
+  }
+
+  std::vector<Reg> regs_;
+  std::vector<uint32_t> ends_;
 };
 
 // --- Machine instructions ----------------------------------------------------
@@ -92,6 +138,7 @@ struct MInst {
 
   [[nodiscard]] std::string str() const;
 };
+static_assert(sizeof(MInst) <= 56);
 
 struct MBlock {
   std::vector<MInst> insts;
@@ -111,12 +158,12 @@ struct MFunction {
   // Call-site argument registers: a Call instruction's imm field indexes
   // this table; the listed registers (in the caller's frame) hold the
   // arguments in declaration order.
-  std::vector<std::vector<Reg>> call_sites;
+  RegLists call_sites;
   // SVIL-local -> vreg mapping maintained by the JIT front end and the
   // de-vectorizer; consumed by split register allocation (annotation
   // eviction ranks are expressed over SVIL locals). A de-vectorized v128
   // local maps to one vreg per lane; all lanes inherit the local's rank.
-  std::vector<std::vector<Reg>> local_regs;
+  RegLists local_regs;
   Type ret_type = Type::Void;
   bool allocated = false;  // physical registers assigned?
 

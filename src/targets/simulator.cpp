@@ -322,7 +322,7 @@ TrapKind SimFrame::run(std::span<const Value> args, Value& ret_out) {
           const MFunction& callee = *sim_.functions_[inst.a];
           // Argument registers live in the caller's frame, listed by the
           // call-site table (inst.imm indexes fn_.call_sites).
-          const auto& arg_regs =
+          const std::span<const Reg> arg_regs =
               fn_.call_sites[static_cast<size_t>(inst.imm)];
           std::vector<Value> args;
           args.reserve(arg_regs.size());

@@ -269,29 +269,4 @@ PCode predecode(const Module& module, uint32_t fn_idx, bool fuse) {
   return out;
 }
 
-std::shared_ptr<const PCode> PredecodeCache::get(const Module& module,
-                                                 uint32_t fn_idx, bool fused) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (module.id() != module_id_) {
-    // A different module: drop the previous streams. In-flight frames
-    // keep theirs alive through their shared_ptrs.
-    module_id_ = module.id();
-    slots_.assign(module.num_functions(), {});
-  }
-  std::shared_ptr<const PCode>& slot = slots_[fn_idx][fused ? 1 : 0];
-  if (!slot) {
-    slot = std::make_shared<const PCode>(predecode(module, fn_idx, fused));
-  }
-  return slot;
-}
-
-size_t PredecodeCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t n = 0;
-  for (const auto& pair : slots_) {
-    n += (pair[0] ? 1 : 0) + (pair[1] ? 1 : 0);
-  }
-  return n;
-}
-
 }  // namespace svc

@@ -15,17 +15,18 @@
 // A PCode is immutable after construction and owns all its storage (no
 // pointers into the source Module), so cached streams stay valid for as
 // long as any executing frame holds a reference. PredecodeCache is the
-// build-once keyed store: thread-safe, keyed by (module id, function,
-// fused), shared across the cores of a Soc the same way the CodeCache is.
+// build-once keyed store (a FunctionMemo): thread-safe, keyed by (module
+// id, function, fused), shared across the cores of a Soc the same way the
+// CodeCache is.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
+#include "bytecode/function_memo.h"
 #include "bytecode/module.h"
 #include "vm/value.h"
 
@@ -117,23 +118,14 @@ struct PCode {
 /// stay valid across a concurrent reset for a new module). One cache is
 /// typically shared by every core of a Soc: pre-decoding is
 /// target-independent, so the streams are too.
-class PredecodeCache {
+class PredecodeCache : public FunctionMemo<PCode, 2> {
  public:
-  PredecodeCache() = default;
-  PredecodeCache(const PredecodeCache&) = delete;
-  PredecodeCache& operator=(const PredecodeCache&) = delete;
-
   [[nodiscard]] std::shared_ptr<const PCode> get(const Module& module,
-                                                 uint32_t fn_idx, bool fused);
-
-  /// Streams currently cached (both variants counted separately).
-  [[nodiscard]] size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  uint64_t module_id_ = 0;
-  // slots_[fn][fused ? 1 : 0]
-  std::vector<std::array<std::shared_ptr<const PCode>, 2>> slots_;
+                                                 uint32_t fn_idx, bool fused) {
+    return FunctionMemo::get(module, fn_idx, fused ? 1 : 0, [&] {
+      return predecode(module, fn_idx, fused);
+    });
+  }
 };
 
 }  // namespace svc

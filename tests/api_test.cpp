@@ -163,6 +163,32 @@ TEST(ModuleHandle, KeepsModuleAliveAfterEngineDestruction) {
   EXPECT_FLOAT_EQ(dep.memory().read_f32(64), 6.0f);
 }
 
+TEST(ModuleHandle, RecordsWhetherTheEngineVerifiedIt) {
+  // Handles the engine produced passed verify_module, so deploy() loads
+  // them without verifying again; a caller's module is verified there.
+  const Engine engine = value_or_die(Engine::Builder().build());
+  const ModuleHandle compiled = value_or_die(engine.compile(kGoodSource));
+  EXPECT_TRUE(compiled.verified());
+  const ModuleHandle loaded =
+      value_or_die(engine.load_bytecode(Engine::save_bytecode(compiled)));
+  EXPECT_TRUE(loaded.verified());
+  const ModuleHandle copy = loaded;
+  EXPECT_TRUE(copy.verified());
+  const ModuleHandle adopted = ModuleHandle::adopt(Module(*compiled));
+  EXPECT_FALSE(adopted.verified());
+  EXPECT_FALSE(ModuleHandle(compiled.shared()).verified());
+  EXPECT_FALSE(ModuleHandle().verified());
+
+  for (const ModuleHandle* handle : {&compiled, &loaded, &adopted}) {
+    Deployment dep = value_or_die(
+        engine.deploy(*handle, {{TargetKind::X86Sim, false}}));
+    dep.memory().write_f32(64, 2.0f);
+    EXPECT_TRUE(value_or_die(
+        dep.run("triple", {Value::make_i32(64), Value::make_i32(1)})).ok());
+    EXPECT_FLOAT_EQ(dep.memory().read_f32(64), 6.0f);
+  }
+}
+
 TEST(Deployment, KeepsModuleAliveAfterHandleDropped) {
   const Engine engine = value_or_die(Engine::Builder().build());
   Deployment dep = [&engine] {

@@ -102,6 +102,30 @@ TEST(CodeCache, HitMissAndKeying) {
             static_cast<int64_t>(cache.code_bytes()));
 }
 
+TEST(CodeCache, StatsHoldOnlyTouchedCountersAndClearKeepsInFlight) {
+  Module m;
+  m.add_function(build_scalar_saxpy());
+  const JitCompiler jit(target_desc(TargetKind::X86Sim));
+  CodeCache cache;
+  EXPECT_TRUE(cache.stats().all().empty());
+
+  // A compile in flight across clear() still lands in the cache.
+  const auto artifact = cache.get_or_compile(
+      key_for(m, 0, TargetKind::X86Sim), [&] {
+        cache.clear();
+        EXPECT_EQ(cache.peek(key_for(m, 0, TargetKind::X86Sim)), nullptr);
+        return jit.compile(m, 0);
+      });
+  EXPECT_EQ(cache.num_entries(), 1u);
+  EXPECT_EQ(cache.peek(key_for(m, 0, TargetKind::X86Sim)), artifact);
+  const std::map<std::string, int64_t> want = {
+      {"cache.bytes", static_cast<int64_t>(artifact->code.code_bytes())},
+      {"cache.compiles", 1},
+      {"cache.misses", 1},
+  };
+  EXPECT_EQ(cache.stats().all(), want);
+}
+
 TEST(CodeCache, LruEvictionRespectsBudget) {
   Module m;
   m.add_function(build_scalar_saxpy());

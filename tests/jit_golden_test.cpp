@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,7 +41,7 @@ struct Fnv1a {
   }
 };
 
-std::string regs_str(const std::vector<Reg>& regs) {
+std::string regs_str(std::span<const Reg> regs) {
   std::string s;
   for (const Reg& r : regs) {
     s += r.valid ? std::to_string(static_cast<int>(r.cls)) + ":" +
@@ -73,7 +74,9 @@ Golden measure(const std::vector<Module>& modules, const char* group,
       const JitArtifact a = jit.compile(m, f);
       fnv.add(a.code.str());
       fnv.add(regs_str(a.code.param_regs));
-      for (const auto& site : a.code.call_sites) fnv.add(regs_str(site));
+      for (size_t s = 0; s < a.code.call_sites.size(); ++s) {
+        fnv.add(regs_str(a.code.call_sites[s]));
+      }
       g.spilled_vregs += a.stats.get("jit.spilled_vregs");
       g.spill_loads += a.stats.get("jit.static_spill_loads");
       g.spill_stores += a.stats.get("jit.static_spill_stores");

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -79,9 +80,7 @@ uint32_t sweep(MFunction& fn, uint64_t& work) {
     }
   }
   std::set<uint32_t> locals;
-  for (const auto& lanes : fn.local_regs) {
-    for (const Reg& r : lanes) locals.insert(vreg_key(r));
-  }
+  for (const Reg& r : fn.local_regs.all()) locals.insert(vreg_key(r));
   for (const Reg& r : fn.param_regs) locals.insert(vreg_key(r));
 
   auto use_count = [&](Reg r) {
@@ -242,7 +241,7 @@ TEST(PeepholeEquivalence, RewriteReopensAnEarlierMove) {
   MFunction fn;
   fn.num_vregs[0] = 3;
   fn.param_regs = {p};
-  fn.local_regs = {{p}};
+  fn.local_regs.push_back(std::array{p});
   MInst ret;
   ret.op = mop(Opcode::Ret);
   ret.s0 = t1;
@@ -264,8 +263,10 @@ MFunction random_function(uint64_t seed) {
   MFunction fn;
   fn.num_vregs[0] = kRegs;
   fn.param_regs = {Reg::make(RegClass::Int, 0)};
-  fn.local_regs = {{Reg::make(RegClass::Int, 0)}};
-  if (rng.next_bool()) fn.local_regs.push_back({Reg::make(RegClass::Int, 1)});
+  fn.local_regs.push_back(std::array{Reg::make(RegClass::Int, 0)});
+  if (rng.next_bool()) {
+    fn.local_regs.push_back(std::array{Reg::make(RegClass::Int, 1)});
+  }
   const auto blocks = static_cast<uint32_t>(1 + rng.next_below(3));
   fn.blocks.resize(blocks);
   for (uint32_t b = 0; b < blocks; ++b) {
@@ -288,7 +289,7 @@ MFunction random_function(uint64_t seed) {
         case 2:
           m.op = mop(Opcode::Call);
           m.imm = static_cast<int64_t>(fn.call_sites.size());
-          fn.call_sites.push_back({reg(), reg()});
+          fn.call_sites.push_back(std::array{reg(), reg()});
           if (rng.next_bool()) m.dst = reg();
           break;
         default:

@@ -14,10 +14,12 @@
 //    JIT compiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +31,10 @@
 #endif
 
 #include "api/svc.h"
+#include "driver/offline_compiler.h"
+#include "fuzz/generator.h"
+#include "support/crc32.h"
+#include "targets/target_registry.h"
 #include "test_util.h"
 
 namespace svc {
@@ -117,6 +123,59 @@ TEST(CodeCacheKey, PrecomputedHashAgreesWithEquality) {
   EXPECT_FALSE(a == CodeCacheKey(7, 3, TargetKind::SparcSim, "opts=y", 2, 99));
   EXPECT_FALSE(a == CodeCacheKey(7, 3, TargetKind::SparcSim, "opts=x", 1, 99));
   EXPECT_FALSE(a == CodeCacheKey(7, 3, TargetKind::SparcSim, "opts=x", 2, 98));
+}
+
+// --- the entry format -----------------------------------------------------
+
+TEST(PersistentCache, EntryBytesStayFixedForMultiLaneLocalsAndSpilledArgs) {
+  // The entry bytes of an artifact with de-vectorized (multi-lane) locals
+  // and spilled call-site arguments, recorded when MFunction held its
+  // register lists as vectors of vectors: the flat lists must write the
+  // same bytes, or stores written by earlier builds would stop loading.
+  const Module m =
+      value_or_die(compile_module(fuzz::generate_program(7).source));
+  const JitCompiler jit(target_desc(TargetKind::SparcSim));
+  JitArtifact artifact;
+  artifact.code = jit.compile(m, 2).code;
+  artifact.stats.add(JitCounters::CodeBytes,
+                     static_cast<int64_t>(artifact.code.code_bytes()));
+  artifact.stats.add(JitCounters::SpilledVregs, 3);
+
+  const MFunction& code = artifact.code;
+  bool multi_lane_local = false;
+  for (size_t l = 0; l < code.local_regs.size(); ++l) {
+    multi_lane_local |= code.local_regs[l].size() > 1;
+  }
+  ASSERT_TRUE(multi_lane_local);
+  ASSERT_TRUE(std::any_of(code.call_sites.all().begin(),
+                          code.call_sites.all().end(),
+                          [](const Reg& r) { return r.is_slot(); }));
+
+  TempStore dir;
+  const PersistentCache store = value_or_die(PersistentCache::open(dir.dir));
+  const PersistentCacheKey key{0x5eed0007ull, 2, TargetKind::SparcSim,
+                               jit.options().cache_key(), 1, 0};
+  ASSERT_TRUE(store.store(key, artifact));
+  std::ifstream in(store.entry_path(key), std::ios::binary);
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 5381u);
+  EXPECT_EQ(crc32(bytes), 0x2144df1cu);
+
+  const PersistentCache::LoadResult loaded = store.load(key);
+  ASSERT_EQ(loaded.status, PersistentCache::LoadStatus::Hit);
+  const MFunction& back = loaded.artifact->code;
+  EXPECT_EQ(back.str(), code.str());
+  EXPECT_EQ(back.param_regs, code.param_regs);
+  EXPECT_EQ(back.call_sites, code.call_sites);
+  EXPECT_EQ(back.local_regs, code.local_regs);
+  EXPECT_EQ(back.ret_type, code.ret_type);
+  EXPECT_EQ(back.allocated, code.allocated);
+  Statistics want;
+  Statistics got;
+  artifact.stats.add_to(want);
+  loaded.artifact->stats.add_to(got);
+  EXPECT_EQ(got.all(), want.all());
 }
 
 // --- content hashing ------------------------------------------------------
