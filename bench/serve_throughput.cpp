@@ -469,7 +469,8 @@ int main(int argc, char** argv) {
     cr.shards = n;
     run_cluster_closed(eager, suite, expected, cr);
     cluster_reports.push_back(cr);
-    shard_list += (shard_list.empty() ? "" : ",") + std::to_string(n);
+    if (!shard_list.empty()) shard_list += ',';
+    shard_list += std::to_string(n);
   }
   // The deterministic scaling number: critical-path simulated cycles of
   // the busiest shard, against the 1-shard run. Requests cost identical

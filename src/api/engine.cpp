@@ -97,7 +97,7 @@ Engine::Builder& Engine::Builder::cache_budget(size_t bytes) {
 }
 
 Engine::Builder& Engine::Builder::persistent_cache(std::string_view path) {
-  options_.runtime.persistent_cache_path = std::string(path);
+  persistent_cache_path_ = std::string(path);
   return *this;
 }
 
@@ -187,15 +187,18 @@ Result<Engine> Engine::Builder::build() const {
             "this linear memory");
   }
 
-  if (!runtime.persistent_cache_path.empty()) {
+  if (!persistent_cache_path_.empty()) {
     // Opening validates the whole contract now (creatable, a directory,
     // writable) so a mis-pointed store is a build() error instead of a
-    // silently memory-only deployment. The probe store is discarded;
-    // each Soc opens its own against the validated path.
+    // silently memory-only deployment. Every deployment of the engine
+    // shares the store opened here.
     if (Result<PersistentCache> store =
-            PersistentCache::open(runtime.persistent_cache_path);
-        !store.ok()) {
-      problem("persistent_cache('" + runtime.persistent_cache_path +
+            PersistentCache::open(persistent_cache_path_);
+        store.ok()) {
+      options.runtime.persistent_cache =
+          std::make_shared<const PersistentCache>(std::move(store).value());
+    } else {
+      problem("persistent_cache('" + persistent_cache_path_ +
               "') failed validation:\n" + store.error_text());
     }
   }

@@ -57,8 +57,8 @@ struct EngineOptions {
   // Per-target JIT.
   JitOptions jit;
   // Deployment runtime: tier policy, prefetch, compile pool, cache budget
-  // and the persistent on-disk cache (validated at build(); see
-  // docs/PERSISTENCE.md), shared by every deployment of this engine.
+  // and the persistent on-disk store (opened and validated at build();
+  // see docs/PERSISTENCE.md), shared by every deployment of this engine.
   SocOptions runtime;
   // Linear memory per deployment; raised to the module's own memory hint
   // at deploy() when that is larger.
@@ -180,9 +180,11 @@ class Engine::Builder {
   /// Deployment::warm_up() loads code from disk instead of recompiling
   /// (near-instant; bench/warm_start.cpp measures it), and concurrent
   /// server processes on one host share one store. build() validates the
-  /// path (creatable, a directory, writable); corrupt or stale entries
-  /// at run time are silent misses that recompile. See
-  /// docs/PERSISTENCE.md for the format and sharing contract.
+  /// path (creatable, a directory, writable) and opens the store once;
+  /// every deployment of the engine shares it
+  /// (options().runtime.persistent_cache). Corrupt or stale entries at
+  /// run time are silent misses that recompile. See docs/PERSISTENCE.md
+  /// for the format and sharing contract.
   Builder& persistent_cache(std::string_view path);
   Builder& memory_bytes(size_t bytes);
 
@@ -216,6 +218,7 @@ class Engine::Builder {
   ModuleHandle profile_;
   std::string offline_pipeline_;
   std::string jit_pipeline_;
+  std::string persistent_cache_path_;
   bool offline_pipeline_set_ = false;
   bool jit_pipeline_set_ = false;
 };

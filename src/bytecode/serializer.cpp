@@ -179,8 +179,7 @@ std::vector<uint8_t> serialize_function(const Function& fn) {
 }
 
 std::vector<uint8_t> serialize_module(const Module& module) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  std::vector<uint8_t> out(kMagic.begin(), kMagic.end());
   write_uleb(out, kFormatVersion);
   write_string(out, module.name());
   write_uleb(out, module.memory_hint());

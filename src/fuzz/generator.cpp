@@ -480,7 +480,8 @@ class Generator {
     std::string head = "fn " + sig.name + "(";
     for (size_t i = 0; i < sig.params.size(); ++i) {
       if (i > 0) head += ", ";
-      const std::string p = "p" + std::to_string(i);
+      std::string p = "p";
+      p += std::to_string(i);
       head += p + ": " + ty_name(sig.params[i]);
       scope_.push_back({p, sig.params[i], true});
     }

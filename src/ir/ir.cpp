@@ -41,7 +41,9 @@ std::string IRFunction::str() const {
   os << "irfn " << name_ << " (params " << num_params_ << ", values "
      << value_types_.size() << ")\n";
   auto val = [&](ValueId v) {
-    return v == kNoValue ? std::string("_") : "%" + std::to_string(v);
+    std::string s(1, v == kNoValue ? '_' : '%');
+    if (v != kNoValue) s += std::to_string(v);
+    return s;
   };
   for (size_t b = 0; b < blocks_.size(); ++b) {
     os << "bb" << b << ":\n";

@@ -73,17 +73,22 @@ bool JitCounters::has(std::string_view key) const {
   return false;
 }
 
+bool JitCounters::add_by_key(std::string_view key, int64_t delta) {
+  if (const auto i = counter_index(key)) {
+    add(static_cast<Counter>(*i), delta);
+  } else if (const auto pass = jit_pass_manager().timer_pass(key)) {
+    pass_us_.add(*pass, delta);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 std::optional<JitCounters> JitCounters::from_statistics(
     const Statistics& stats) {
   JitCounters out;
   for (const auto& [key, value] : stats.all()) {
-    if (const auto i = counter_index(key)) {
-      out.add(static_cast<Counter>(*i), value);
-    } else if (const auto pass = jit_pass_manager().timer_pass(key)) {
-      out.pass_us_.add(*pass, value);
-    } else {
-      return std::nullopt;
-    }
+    if (!out.add_by_key(key, value)) return std::nullopt;
   }
   return out;
 }

@@ -85,8 +85,11 @@ class JitCounters {
   /// A counter by its key; 0 when absent or when the key names none.
   [[nodiscard]] int64_t get(std::string_view key) const;
   [[nodiscard]] bool has(std::string_view key) const;
-  /// The inverse of add_to, for artifacts read back from disk: nullopt
-  /// when a key names no JIT counter.
+  /// Adds `delta` to the counter or pass timer `key` names (an add_to
+  /// key); false, changing nothing, when it names none. The persistent
+  /// store decodes an entry's counters through this, one key at a time.
+  [[nodiscard]] bool add_by_key(std::string_view key, int64_t delta);
+  /// The inverse of add_to: nullopt when a key names no JIT counter.
   [[nodiscard]] static std::optional<JitCounters> from_statistics(
       const Statistics& stats);
 

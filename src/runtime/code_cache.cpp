@@ -7,7 +7,7 @@
 namespace svc {
 
 CodeCache::Artifact CodeCache::get_or_compile(const CodeCacheKey& key,
-                                              const CompileFn& compile) {
+                                              CompileFn compile) {
   // Id 0 means a moved-from Module husk (or an unregistered module):
   // caching under it would alias unrelated modules' artifacts.
   assert(key.module_id != 0 && "CodeCacheKey with dead module id");
@@ -108,7 +108,7 @@ CodeCache::Artifact CodeCache::get_or_compile(const CodeCacheKey& key,
   return artifact;
 }
 
-void CodeCache::attach_persistent(PersistentCache* store) {
+void CodeCache::attach_persistent(const PersistentCache* store) {
   std::lock_guard<std::mutex> lock(mutex_);
   persistent_ = store;
 }

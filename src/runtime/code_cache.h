@@ -24,6 +24,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -105,7 +106,29 @@ struct CodeCacheKeyHash {
 class CodeCache {
  public:
   using Artifact = std::shared_ptr<const JitArtifact>;
-  using CompileFn = std::function<JitArtifact()>;
+
+  /// A non-owning reference to the compile callable: two pointers, so
+  /// passing one allocates nothing (a std::function would, for a lambda
+  /// capturing more than two pointers). get_or_compile calls it before it
+  /// returns, while the caller's callable is alive.
+  class CompileFn {
+   public:
+    template <typename F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, CompileFn> &&
+               std::is_invocable_r_v<JitArtifact, F&>)
+    CompileFn(F&& compile)
+        : callable_(const_cast<void*>(
+              static_cast<const void*>(std::addressof(compile)))),
+          call_([](void* callable) -> JitArtifact {
+            return (*static_cast<std::remove_reference_t<F>*>(callable))();
+          }) {}
+
+    JitArtifact operator()() const { return call_(callable_); }
+
+   private:
+    void* callable_;
+    JitArtifact (*call_)(void*);
+  };
 
   explicit CodeCache(size_t code_budget_bytes = SIZE_MAX)
       : budget_(code_budget_bytes) {}
@@ -121,13 +144,14 @@ class CodeCache {
   /// "cache.disk_rejects", and a fresh compile writes back atomically
   /// ("cache.disk_writes") so concurrent processes sharing the store
   /// directory reuse each other's work.
-  Artifact get_or_compile(const CodeCacheKey& key, const CompileFn& compile);
+  Artifact get_or_compile(const CodeCacheKey& key, CompileFn compile);
 
   /// Attaches (or detaches, with nullptr) the on-disk second-level store.
-  /// The store is borrowed: it must outlive the cache (a Soc owns both in
-  /// the right order). Attach before the first get_or_compile; modules
-  /// already registered keep their content hashes.
-  void attach_persistent(PersistentCache* store);
+  /// The store is borrowed: it must outlive the cache (a Soc holds a
+  /// share of its store for as long as its cache lives). Attach before
+  /// the first get_or_compile; modules already registered keep their
+  /// content hashes.
+  void attach_persistent(const PersistentCache* store);
 
   /// True when an on-disk store is attached.
   [[nodiscard]] bool has_persistent() const;
@@ -202,7 +226,7 @@ class CodeCache {
   mutable std::mutex mutex_;
   size_t budget_;
   size_t bytes_ = 0;
-  PersistentCache* persistent_ = nullptr;
+  const PersistentCache* persistent_ = nullptr;
   // Module id -> restart-stable per-function content hashes, registered
   // by loaders; consulted to translate in-memory keys to disk keys.
   std::unordered_map<uint64_t, std::vector<uint64_t>> content_hashes_;

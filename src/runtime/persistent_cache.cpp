@@ -1,23 +1,21 @@
 #include "runtime/persistent_cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 #include <system_error>
 
 #include "bytecode/serializer.h"
 #include "support/crc32.h"
 #include "support/varint.h"
 #include "targets/target_registry.h"
-
-#ifdef _WIN32
-#include <process.h>
-#define SVC_GETPID _getpid
-#else
-#include <unistd.h>
-#define SVC_GETPID getpid
-#endif
 
 namespace svc {
 namespace {
@@ -51,19 +49,31 @@ uint64_t fnv1a_str(const std::string& s, uint64_t h = kFnvOffset) {
   return fnv1a({reinterpret_cast<const uint8_t*>(s.data()), s.size()}, h);
 }
 
+/// FNV-1a as a byte sink: hashes what a writer appends without keeping it.
+struct Fnv1aSink {
+  uint64_t h = kFnvOffset;
+  void push_back(uint8_t b) {
+    h ^= b;
+    h *= kFnvPrime;
+  }
+};
+
 // --- low-level entry encoding ----------------------------------------------
 
-void write_string(std::vector<uint8_t>& out, const std::string& s) {
+template <typename Out>
+void write_string(Out& out, std::string_view s) {
   write_uleb(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
+  for (const char c : s) out.push_back(static_cast<uint8_t>(c));
 }
 
-std::optional<std::string> read_string(ByteReader& r) {
+/// A length-prefixed string, as a view into the reader's buffer.
+std::optional<std::string_view> read_string(ByteReader& r) {
   const auto n = r.read_uleb();
   if (!n || *n > r.remaining()) return std::nullopt;
   const auto bytes = r.read_bytes(static_cast<size_t>(*n));
   if (!bytes) return std::nullopt;
-  return std::string(bytes->begin(), bytes->end());
+  return std::string_view(reinterpret_cast<const char*>(bytes->data()),
+                          bytes->size());
 }
 
 void write_reg(std::vector<uint8_t>& out, const Reg& reg) {
@@ -246,20 +256,22 @@ void write_statistics(std::vector<uint8_t>& out, const Statistics& stats) {
   }
 }
 
-std::optional<Statistics> read_statistics(ByteReader& r) {
+/// Decodes the counters write_statistics wrote straight into `out`;
+/// false when one is malformed or names no JIT counter.
+bool read_counters(ByteReader& r, JitCounters& out) {
   const auto n = r.read_uleb();
-  if (!n || *n > (1u << 16)) return std::nullopt;
-  Statistics stats;
+  if (!n || *n > (1u << 16)) return false;
   for (uint64_t i = 0; i < *n; ++i) {
     const auto key = read_string(r);
     const auto value = r.read_sleb();
-    if (!key || !value) return std::nullopt;
-    stats.set(*key, *value);
+    if (!key || !value || !out.add_by_key(*key, *value)) return false;
   }
-  return stats;
+  return true;
 }
 
-void write_key(std::vector<uint8_t>& out, const PersistentCacheKey& key) {
+/// The key block: appended to an entry, and hashed into its filename.
+template <typename Out>
+void write_key(Out& out, const PersistentCacheKey& key) {
   write_uleb(out, key.content_hash);
   write_uleb(out, key.func_idx);
   out.push_back(static_cast<uint8_t>(key.kind));
@@ -285,7 +297,7 @@ bool key_matches(ByteReader& r, const PersistentCacheKey& key) {
 /// Digest of the target description the artifact was compiled against:
 /// register budgets, capabilities, penalties, and cost overrides all
 /// shape emitted code, so any of them changing must invalidate entries.
-std::string machine_fingerprint(const MachineDesc& desc) {
+std::string machine_digest(const MachineDesc& desc) {
   std::string fp = desc.name;
   fp += ":k" + std::to_string(static_cast<int>(desc.kind));
   fp += desc.has_simd ? ":simd" : ":nosimd";
@@ -302,30 +314,62 @@ std::string machine_fingerprint(const MachineDesc& desc) {
   return fp;
 }
 
-/// Entry filename: a 64-bit digest over the full key (and nothing else --
-/// the fingerprint is validated from the file body, so a rebuilt binary
-/// overwrites stale entries in place instead of accumulating orphans).
-std::string entry_name(const PersistentCacheKey& key) {
-  std::vector<uint8_t> bytes;
-  write_key(bytes, key);
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.svcc",
-                static_cast<unsigned long long>(fnv1a(bytes)));
-  return name;
+/// machine_digest of a target's registered description, computed once
+/// per process (the registry's descriptions never change).
+const std::string& machine_fingerprint(TargetKind kind) {
+  static const std::vector<std::string> digests = [] {
+    std::vector<std::string> out(all_targets().size());
+    for (const TargetKind k : all_targets()) {
+      out.at(static_cast<size_t>(k)) = machine_digest(target_desc(k));
+    }
+    return out;
+  }();
+  return digests[static_cast<size_t>(kind)];
 }
 
-std::optional<std::vector<uint8_t>> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return std::nullopt;
-  std::vector<uint8_t> bytes;
-  uint8_t buf[1 << 14];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
+/// The build fingerprint of (kind, options_key) in its pieces, in order:
+/// build_fingerprint joins them, and load compares a stored fingerprint
+/// against them without joining.
+std::array<std::string_view, 6> fingerprint_parts(
+    TargetKind kind, std::string_view options_key) {
+  static const std::string schema =
+      "schema=" + std::to_string(kPersistSchemaVersion) + ";target=";
+  return {schema,      machine_fingerprint(kind), ";jit=",
+          options_key, ";compiler=",              kCompilerStamp};
+}
+
+bool fingerprint_matches(std::string_view stored, TargetKind kind,
+                         std::string_view options_key) {
+  for (const std::string_view part : fingerprint_parts(kind, options_key)) {
+    if (!stored.starts_with(part)) return false;
+    stored.remove_prefix(part.size());
   }
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return std::nullopt;
+  return stored.empty();
+}
+
+/// The whole file at `path`, read with one open, fstat and read; nullopt
+/// when it cannot be opened or read (a miss, like a missing file).
+std::optional<std::vector<uint8_t>> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::vector<uint8_t>> bytes;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0) {
+    bytes.emplace(static_cast<size_t>(st.st_size));
+    size_t got = 0;
+    ssize_t n = 1;
+    while (got < bytes->size() &&
+           (n = ::read(fd, bytes->data() + got, bytes->size() - got)) > 0) {
+      got += static_cast<size_t>(n);
+    }
+    // A file cut short since fstat keeps what was read: the CRC rejects it.
+    if (n < 0) {
+      bytes.reset();
+    } else {
+      bytes->resize(got);
+    }
+  }
+  ::close(fd);
   return bytes;
 }
 
@@ -349,7 +393,7 @@ Result<PersistentCache> PersistentCache::open(const std::string& dir) {
   // Write probe: a store that cannot be written would degrade every
   // compile to a failed write-back; surface that at configuration time.
   const std::string probe =
-      (fs::path(dir) / (".probe." + std::to_string(SVC_GETPID()))).string();
+      (fs::path(dir) / (".probe." + std::to_string(getpid()))).string();
   std::FILE* f = std::fopen(probe.c_str(), "wb");
   if (!f) {
     return Result<PersistentCache>::failure("persistent cache: '" + dir +
@@ -362,9 +406,11 @@ Result<PersistentCache> PersistentCache::open(const std::string& dir) {
 
 std::string PersistentCache::build_fingerprint(
     TargetKind kind, const std::string& options_key) {
-  return "schema=" + std::to_string(kPersistSchemaVersion) +
-         ";target=" + machine_fingerprint(target_desc(kind)) +
-         ";jit=" + options_key + ";compiler=" + kCompilerStamp;
+  std::string fp;
+  for (const std::string_view part : fingerprint_parts(kind, options_key)) {
+    fp += part;
+  }
+  return fp;
 }
 
 std::vector<uint64_t> PersistentCache::content_hashes(const Module& module) {
@@ -393,7 +439,21 @@ std::vector<uint64_t> PersistentCache::content_hashes(const Module& module) {
 }
 
 std::string PersistentCache::entry_path(const PersistentCacheKey& key) const {
-  return (std::filesystem::path(dir_) / entry_name(key)).string();
+  // A 64-bit digest over the full key (and nothing else -- the
+  // fingerprint is validated from the file body, so a rebuilt binary
+  // overwrites stale entries in place instead of accumulating orphans).
+  Fnv1aSink digest;
+  write_key(digest, key);
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string path;
+  path.reserve(dir_.size() + 1 + 16 + 5);
+  path += dir_;
+  if (!path.empty() && path.back() != '/') path += '/';
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    path += kHex[(digest.h >> shift) & 0xf];
+  }
+  path += ".svcc";
+  return path;
 }
 
 PersistentCache::LoadResult PersistentCache::load(
@@ -423,7 +483,7 @@ PersistentCache::LoadResult PersistentCache::load(
   if (!version || *version != kPersistSchemaVersion) return reject;
   const auto fingerprint = read_string(r);
   if (!fingerprint ||
-      *fingerprint != build_fingerprint(key.kind, key.options_key)) {
+      !fingerprint_matches(*fingerprint, key.kind, key.options_key)) {
     return reject;
   }
   // Filename hashes can collide across keys; the embedded key disambiguates.
@@ -433,11 +493,7 @@ PersistentCache::LoadResult PersistentCache::load(
   auto code = read_mfunction(r);
   if (!code) return reject;
   artifact->code = std::move(*code);
-  const auto stats = read_statistics(r);
-  if (!stats) return reject;
-  auto counters = JitCounters::from_statistics(*stats);
-  if (!counters) return reject;
-  artifact->stats = *counters;
+  if (!read_counters(r, artifact->stats)) return reject;
   const auto seconds_bits = r.read_bytes(8);
   if (!seconds_bits || !r.at_end()) return reject;
   uint64_t bits = 0;
@@ -453,8 +509,7 @@ PersistentCache::LoadResult PersistentCache::load(
 bool PersistentCache::store(const PersistentCacheKey& key,
                             const JitArtifact& artifact,
                             const std::string* fingerprint_override) const {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), std::begin(kEntryMagic), std::end(kEntryMagic));
+  std::vector<uint8_t> out(std::begin(kEntryMagic), std::end(kEntryMagic));
   write_uleb(out, kPersistSchemaVersion);
   write_string(out, fingerprint_override
                         ? *fingerprint_override
@@ -476,12 +531,12 @@ bool PersistentCache::store(const PersistentCacheKey& key,
   // Atomic publish: write a process-unique temp file in the store
   // directory, then rename over the final name. Readers in any process
   // observe either no entry or a complete one; same-key racers settle on
-  // a single winner (identical bytes either way).
+  // a single winner (the same code either way).
   static std::atomic<uint64_t> temp_counter{0};
   namespace fs = std::filesystem;
   const std::string final_path = entry_path(key);
   const std::string temp_path =
-      final_path + ".tmp." + std::to_string(SVC_GETPID()) + "." +
+      final_path + ".tmp." + std::to_string(getpid()) + "." +
       std::to_string(temp_counter.fetch_add(1, std::memory_order_relaxed));
   std::FILE* f = std::fopen(temp_path.c_str(), "wb");
   if (!f) return false;

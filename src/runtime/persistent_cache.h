@@ -20,12 +20,21 @@
 // Multi-process sharing: one store directory may be shared by any number
 // of concurrent processes on a host. Writers are atomic (temp file +
 // rename into place), so readers only ever observe absent or complete
-// entries; racing writers of the same key settle on one winner with
-// identical bytes. There is no in-store eviction -- entries are small
+// entries; racing writers of the same key settle on one winner with the
+// same code and counters (only the recorded compile times differ, as
+// they do between any two compiles). There is no in-store eviction -- entries are small
 // and immutable; prune the directory externally (docs/PERSISTENCE.md).
 //
 // Thread-safety: the store is stateless apart from its directory path;
-// load/store/entry_path are safe from any thread and any process.
+// load/store/entry_path are safe from any thread and any process, so one
+// store serves every Soc an Engine deploys (SocOptions::persistent_cache).
+//
+// Cost: open() creates and checks the directory and makes a write probe,
+// several file-system calls, so it runs once per store
+// (Engine::Builder::build), not per deploy. A load() is one open, fstat
+// and read of the entry, a CRC, and a decode that checks the fingerprint
+// and key in place and fills the artifact directly (docs/PERSISTENCE.md
+// has a cost table).
 #pragma once
 
 #include <cstdint>
@@ -69,12 +78,13 @@ class PersistentCache {
   /// Opens (creating if needed) a store rooted at `dir`. Fails -- with a
   /// diagnostic, not a crash -- when the path exists but is not a
   /// directory or when a write probe shows the directory is not
-  /// writable. This is the validation Engine::Builder::build() runs.
+  /// writable. Engine::Builder::build() opens its engine's store with
+  /// this; a raw Soc user opens one and hands it to SocOptions.
   [[nodiscard]] static Result<PersistentCache> open(const std::string& dir);
 
   /// Probes the store for `key`. Never throws and never crashes on a
   /// corrupt, truncated, stale, or colliding entry: every failure mode
-  /// degrades to Miss/Reject and the caller recompiles.
+  /// degrades to Miss/Reject and the caller recompiles. Creates no file.
   [[nodiscard]] LoadResult load(const PersistentCacheKey& key) const;
 
   /// Persists `artifact` under `key` atomically (temp file + rename), so

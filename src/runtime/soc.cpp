@@ -1,7 +1,5 @@
 #include "runtime/soc.h"
 
-#include <cstdio>
-
 #include "bytecode/verifier.h"
 #include "runtime/mapper.h"
 
@@ -13,20 +11,7 @@ Soc::Soc(std::vector<CoreSpec> cores, size_t memory_bytes, JitOptions jit,
       cache_(options_.cache_budget_bytes),
       specs_(std::move(cores)),
       memory_(memory_bytes) {
-  if (!options_.persistent_cache_path.empty()) {
-    Result<PersistentCache> store =
-        PersistentCache::open(options_.persistent_cache_path);
-    if (store.ok()) {
-      persistent_ =
-          std::make_unique<PersistentCache>(std::move(store).value());
-      cache_.attach_persistent(persistent_.get());
-    } else {
-      // Disk problems never break a deployment: run memory-only. Engine
-      // users get this reported at build() instead (deploy validation).
-      std::fprintf(stderr, "Soc: persistent cache disabled:\n%s\n",
-                   store.error_text().c_str());
-    }
-  }
+  cache_.attach_persistent(options_.persistent_cache.get());
   if (options_.pool_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(options_.pool_threads);
   }

@@ -43,14 +43,14 @@ struct SocOptions {
   size_t pool_threads = 0;
   // Shared-cache resident-code budget (LRU eviction above it).
   size_t cache_budget_bytes = SIZE_MAX;
-  // Directory of the persistent on-disk artifact store (second level
-  // under the shared CodeCache); empty = in-memory only. One directory
-  // may be shared by concurrent processes on a host -- see
-  // runtime/persistent_cache.h and docs/PERSISTENCE.md. A directory that
-  // cannot be opened disables the disk tier with a warning (every disk
-  // problem degrades to recompilation, never a crash); configure through
-  // Engine::Builder::persistent_cache() to get build()-time validation.
-  std::string persistent_cache_path;
+  // The persistent on-disk artifact store (second level under the shared
+  // CodeCache); null = in-memory only. Shared, not opened per Soc: every
+  // deployment of an Engine uses the one store Engine::Builder::build()
+  // opened and validated, and a raw Soc user opens one with
+  // PersistentCache::open. One directory may also be shared by
+  // concurrent processes on a host -- see runtime/persistent_cache.h and
+  // docs/PERSISTENCE.md.
+  std::shared_ptr<const PersistentCache> persistent_cache;
 };
 
 class Soc {
@@ -154,9 +154,9 @@ class Soc {
   }
 
   /// The on-disk artifact store behind the shared cache, or nullptr when
-  /// options.persistent_cache_path is empty (or failed to open).
+  /// options.persistent_cache is null.
   [[nodiscard]] const PersistentCache* persistent_cache() const {
-    return persistent_.get();
+    return options_.persistent_cache.get();
   }
 
  private:
@@ -165,13 +165,12 @@ class Soc {
   /// load_module without the verification, for a module that passed it.
   void load_verified_module(std::shared_ptr<const Module> module);
 
+  // Destruction order matters: options_ (which holds the persistent
+  // store the cache borrows) precedes cache_, and cores_ is declared
+  // after cache_/pool_ so it is destroyed first -- each ~OnlineTarget
+  // drains its in-flight compile jobs while the pool workers and the
+  // cache are still alive.
   SocOptions options_;
-  // Destruction order matters: cores_ is declared after cache_/pool_ so it
-  // is destroyed first -- each ~OnlineTarget drains its in-flight compile
-  // jobs while the pool workers and the cache are still alive. The
-  // persistent store precedes cache_ for the same reason: the cache
-  // borrows it.
-  std::unique_ptr<PersistentCache> persistent_;
   CodeCache cache_;
   // Shared across cores like cache_ (declared before cores_ for the same
   // destruction-order reason).

@@ -119,7 +119,7 @@ class PassManager {
   }
 
   [[nodiscard]] bool has_pass(std::string_view name) const {
-    return index_.count(std::string(name)) != 0;
+    return index_.contains(name);
   }
 
   /// Registered pass names, in registration order.
@@ -132,7 +132,7 @@ class PassManager {
 
   [[nodiscard]] std::string_view pass_description(
       std::string_view name) const {
-    const auto it = index_.find(std::string(name));
+    const auto it = index_.find(name);
     if (it == index_.end()) fatal("PassManager: unknown pass");
     return passes_[it->second].description;
   }
@@ -191,7 +191,7 @@ class PassManager {
   /// inverse of add_times' keys.
   [[nodiscard]] std::optional<size_t> timer_pass(std::string_view key) const {
     if (!key.starts_with(timer_prefix_)) return std::nullopt;
-    const auto it = index_.find(std::string(key.substr(timer_prefix_.size())));
+    const auto it = index_.find(key.substr(timer_prefix_.size()));
     if (it == index_.end()) return std::nullopt;
     return it->second;
   }
@@ -204,7 +204,8 @@ class PassManager {
   };
 
   std::vector<Entry> passes_;
-  std::map<std::string, size_t> index_;
+  // Transparent, so lookups by string_view build no string.
+  std::map<std::string, size_t, std::less<>> index_;
   std::string timer_prefix_;
 };
 

@@ -2,15 +2,6 @@
 
 namespace svc {
 
-void write_uleb(std::vector<uint8_t>& out, uint64_t value) {
-  do {
-    uint8_t byte = value & 0x7f;
-    value >>= 7;
-    if (value != 0) byte |= 0x80;
-    out.push_back(byte);
-  } while (value != 0);
-}
-
 void write_sleb(std::vector<uint8_t>& out, int64_t value) {
   // Zig-zag: maps small-magnitude negatives to small unsigned values.
   const uint64_t zz =

@@ -9,8 +9,18 @@
 
 namespace svc {
 
-/// Appends `value` to `out` as unsigned LEB128.
-void write_uleb(std::vector<uint8_t>& out, uint64_t value);
+/// Appends `value` to `out` as unsigned LEB128. `Out` is any byte sink
+/// with push_back(uint8_t): a byte vector, or a hash that digests the
+/// bytes without keeping them.
+template <typename Out>
+void write_uleb(Out& out, uint64_t value) {
+  do {
+    uint8_t byte = value & 0x7f;
+    value >>= 7;
+    if (value != 0) byte |= 0x80;
+    out.push_back(byte);
+  } while (value != 0);
+}
 
 /// Appends `value` to `out` as zig-zag-encoded signed LEB128.
 void write_sleb(std::vector<uint8_t>& out, int64_t value);

@@ -11,7 +11,12 @@
 //  - concurrent write-back of one key from racing threads is safe (the
 //    TSan CI job runs this binary);
 //  - a second Engine boot against a populated store warms up with zero
-//    JIT compiles.
+//    JIT compiles;
+//  - an Engine opens its store once: warm deploys share it, create no
+//    file in the store directory and count every probe as a disk hit;
+//  - a CRC-valid entry still rejects when its fingerprint is foreign or a
+//    counter key is unknown;
+//  - Socs sharing one store may deploy concurrently (TSan CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,6 +91,31 @@ void fill_memory(Memory& mem) {
   for (uint32_t i = 0; i < 256; ++i) {
     mem.store_u8(0x3000 + i, static_cast<uint8_t>(rng.next_u32()));
   }
+}
+
+std::vector<CoreSpec> all_cores() {
+  std::vector<CoreSpec> cores;
+  for (TargetKind kind : all_targets()) {
+    cores.push_back({kind, kind == TargetKind::SpuSim});
+  }
+  return cores;
+}
+
+std::vector<uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Rewrites `path` with `bytes` and a fresh CRC trailer over them, so the
+/// entry passes the checksum and validation has to look inside.
+void write_sealed(const std::string& path, std::vector<uint8_t> bytes) {
+  const uint32_t crc = crc32(bytes);
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<uint8_t>((crc >> (8 * i)) & 0xff));
+  }
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
 }
 
 /// Args for each function of build_suite_module, by index.
@@ -309,6 +339,72 @@ TEST(PersistentCache, CorruptEntriesRejectThenRecompileAndOverwrite) {
   EXPECT_EQ(cache2.stats().get("cache.disk_rejects"), 0);
 }
 
+TEST(PersistentCache, CrcValidEntriesRejectOnForeignFingerprintOrCounter) {
+  const TempStore tmp;
+  const PersistentCache store = value_or_die(PersistentCache::open(tmp.dir));
+  Module m;
+  m.add_function(build_scalar_saxpy());
+  const std::string options_key = JitOptions{}.cache_key();
+  const PersistentCacheKey key{PersistentCache::content_hashes(m)[0], 0,
+                               TargetKind::X86Sim, options_key, 1, 0};
+  const JitCompiler jit(target_desc(TargetKind::X86Sim));
+  const JitArtifact artifact = jit.compile(m, 0);
+
+  // Fingerprints that differ from the key's in one piece, or by one
+  // character at the end.
+  const std::string own =
+      PersistentCache::build_fingerprint(TargetKind::X86Sim, options_key);
+  const std::vector<std::string> foreign = {
+      PersistentCache::build_fingerprint(TargetKind::PpcSim, options_key),
+      PersistentCache::build_fingerprint(
+          TargetKind::X86Sim, JitOptions(AllocPolicy::NaiveOnline, true)
+                                  .cache_key()),
+      own + "x",
+      own.substr(0, own.size() - 1),
+  };
+  for (const std::string& fp : foreign) {
+    ASSERT_TRUE(store.store(key, artifact, &fp));
+    EXPECT_EQ(store.load(key).status, PersistentCache::LoadStatus::Reject)
+        << fp;
+  }
+  ASSERT_TRUE(store.store(key, artifact, &own));
+  EXPECT_EQ(store.load(key).status, PersistentCache::LoadStatus::Hit);
+
+  // A counter key no JitCounters field has, in an entry whose CRC is
+  // recomputed over the edit.
+  const std::string path = store.entry_path(key);
+  std::vector<uint8_t> body = read_bytes(path);
+  body.resize(body.size() - 4);
+  const std::string counter = "jit.code_bytes";
+  const auto at = std::search(body.begin(), body.end(), counter.begin(),
+                              counter.end());
+  ASSERT_NE(at, body.end());
+  uint8_t& last = *(at + static_cast<std::ptrdiff_t>(counter.size()) - 1);
+  last = 'z';  // "jit.code_bytez"
+  write_sealed(path, body);
+  EXPECT_EQ(store.load(key).status, PersistentCache::LoadStatus::Reject);
+
+  // Through a CodeCache the entry counts as a disk reject and recompiles.
+  CodeCache cache;
+  cache.attach_persistent(&store);
+  cache.register_module(m);
+  int compiles = 0;
+  (void)cache.get_or_compile(
+      CodeCacheKey{m.id(), 0, TargetKind::X86Sim, options_key}, [&] {
+        ++compiles;
+        return jit.compile(m, 0);
+      });
+  EXPECT_EQ(compiles, 1);
+  EXPECT_EQ(cache.stats().get("cache.disk_rejects"), 1);
+  EXPECT_EQ(cache.stats().get("cache.disk_hits"), 0);
+
+  // The same re-sealing without the edit loads: the edit was the fault.
+  std::vector<uint8_t> healed = read_bytes(path);
+  healed.resize(healed.size() - 4);
+  write_sealed(path, healed);
+  EXPECT_EQ(store.load(key).status, PersistentCache::LoadStatus::Hit);
+}
+
 // --- bit identity on all four targets -------------------------------------
 
 TEST(PersistentCache, WarmBootBitIdenticalOnAllTargets) {
@@ -316,14 +412,12 @@ TEST(PersistentCache, WarmBootBitIdenticalOnAllTargets) {
   const Module module = build_suite_module();
   const std::vector<std::vector<Value>> args = suite_args();
 
-  std::vector<CoreSpec> cores;
-  for (TargetKind kind : all_targets()) {
-    cores.push_back({kind, kind == TargetKind::SpuSim});
-  }
+  const std::vector<CoreSpec> cores = all_cores();
 
   SocOptions options;
   options.tiers.mode = LoadMode::Eager;
-  options.persistent_cache_path = tmp.dir;
+  options.persistent_cache = std::make_shared<const PersistentCache>(
+      value_or_die(PersistentCache::open(tmp.dir)));
 
   // Boot 1: compiles everything, writes everything back.
   Soc cold(cores, 1 << 20, {}, options);
@@ -419,6 +513,95 @@ TEST(PersistentCache, ConcurrentWriteBackOneStoreIsSafe) {
 }
 
 // --- the Engine facade ----------------------------------------------------
+
+/// Name, size and modification time of every file in `dir`, sorted.
+std::vector<std::string> listing(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    out.push_back(
+        e.path().filename().string() + " " +
+        std::to_string(e.file_size()) + " " +
+        std::to_string(e.last_write_time().time_since_epoch().count()));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(PersistentCache, WarmDeploysShareTheEngineStoreAndCreateNoFile) {
+  const TempStore tmp;
+  const Engine engine =
+      value_or_die(Engine::Builder().eager().persistent_cache(tmp.dir).build());
+  const PersistentCache* store = engine.options().runtime.persistent_cache.get();
+  ASSERT_NE(store, nullptr);
+  EXPECT_TRUE(listing(tmp.dir).empty()) << "build() left its write probe";
+
+  const ModuleHandle module = ModuleHandle::adopt(build_suite_module());
+  const std::vector<CoreSpec> cores = all_cores();
+  const auto n_artifacts =
+      static_cast<int64_t>(cores.size() * module->num_functions());
+  {
+    Deployment cold = value_or_die(engine.deploy(module, cores));
+    EXPECT_EQ(cold.cache_stats().get("cache.disk_writes"), n_artifacts);
+  }
+  const std::vector<std::string> before = listing(tmp.dir);
+  ASSERT_EQ(static_cast<int64_t>(before.size()), n_artifacts);
+  // Creating or removing any file, even a write probe removed again,
+  // moves the directory's own modification time.
+  const fs::file_time_type dir_time = fs::last_write_time(tmp.dir);
+
+  constexpr int kWarmDeploys = 4;
+  for (int i = 0; i < kWarmDeploys; ++i) {
+    Deployment warm = value_or_die(engine.deploy(module, cores));
+    EXPECT_EQ(warm.soc().persistent_cache(), store);
+    const Statistics stats = warm.cache_stats();
+    EXPECT_EQ(stats.get("cache.compiles"), 0);
+    EXPECT_EQ(stats.get("cache.disk_hits"), n_artifacts);
+    EXPECT_EQ(stats.get("cache.disk_misses"), 0);
+    EXPECT_EQ(stats.get("cache.disk_writes"), 0);
+    EXPECT_EQ(listing(tmp.dir), before) << "warm deploy " << i;
+    EXPECT_EQ(fs::last_write_time(tmp.dir), dir_time) << "warm deploy " << i;
+  }
+  for (const std::string& entry : listing(tmp.dir)) {
+    EXPECT_FALSE(entry.starts_with(".probe.")) << entry;
+  }
+}
+
+TEST(PersistentCache, SocsSharingOneStoreDeployConcurrently) {
+  // Threads deploy the same module from one Engine at once, twice: the
+  // first round races compiles and write-backs into the shared store,
+  // the second races disk probes. The TSan CI job runs this binary.
+  const TempStore tmp;
+  const Engine engine =
+      value_or_die(Engine::Builder().eager().persistent_cache(tmp.dir).build());
+  const ModuleHandle module = ModuleHandle::adopt(build_suite_module());
+  const std::vector<CoreSpec> cores = all_cores();
+  const auto n_artifacts =
+      static_cast<int64_t>(cores.size() * module->num_functions());
+  constexpr int kThreads = 3;
+  for (const bool warm : {false, true}) {
+    std::vector<Statistics> stats(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const Deployment dep = value_or_die(engine.deploy(module, cores));
+        stats[t] = dep.cache_stats();
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const Statistics& s : stats) {
+      EXPECT_EQ(s.get("cache.disk_hits") + s.get("cache.compiles"),
+                n_artifacts);
+      EXPECT_EQ(s.get("cache.disk_rejects"), 0);
+      if (warm) {
+        EXPECT_EQ(s.get("cache.compiles"), 0);
+      }
+    }
+  }
+  for (const fs::directory_entry& e : fs::directory_iterator(tmp.dir)) {
+    EXPECT_EQ(e.path().extension(), ".svcc")
+        << "unexpected file in store: " << e.path();
+  }
+}
 
 TEST(PersistentCache, BuilderRejectsUnusablePath) {
   const TempStore tmp;

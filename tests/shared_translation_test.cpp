@@ -216,7 +216,8 @@ TEST(SharedTranslation, WarmStoreRedeployTranslatesNothing) {
   const Module m = test_module();
   const TempStore store;
   SocOptions options;
-  options.persistent_cache_path = store.dir;
+  options.persistent_cache = std::make_shared<const PersistentCache>(
+      value_or_die(PersistentCache::open(store.dir)));
   {
     Soc cold(kFourIsas, 1 << 16, {}, options);
     load_or_die(cold, m);
